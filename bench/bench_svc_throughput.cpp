@@ -1,17 +1,18 @@
-// Batch-compression service throughput: aggregate GB/s over the synthetic
-// suite mix vs. worker count.
+// Chunk fan-out throughput: aggregate GB/s over the synthetic suite mix vs.
+// worker count.
 //
 // The workload is the checkpoint/dump shape the service targets (cuSZ+ /
 // FZ-GPU motivation: coarse-grained batch throughput, not single-buffer
-// latency): every file of every synthetic suite is one job, all jobs are
-// submitted at once, and the batch is timed end to end (plan + chunk fan-out
-// + assembly). Each configuration also re-verifies the determinism
-// invariant: entry bytes must equal single-threaded pfpl::compress.
+// latency): every file of every synthetic suite is one in-memory item, all
+// items go through one IngestPipeline run per dtype (the pool fans each
+// field's chunks out through pfpl's chunk loop), and the runs are timed end
+// to end. Each configuration also re-verifies the determinism invariant:
+// every stream must equal single-threaded pfpl::compress.
 //
 // Output columns: threads, wall ms, aggregate GB/s (input bytes / wall),
-// speedup vs. 1 thread, steal count, peak queue depth. Scaling tops out at
-// the machine's core count — on fewer cores than workers the extra threads
-// just time-slice.
+// speedup vs. 1 thread, chunks encoded, peak inter-stage queue depth.
+// Scaling tops out at the machine's core count — on fewer cores than
+// workers the extra threads just time-slice.
 // Observability flags:
 //   --trace FILE       write a Chrome trace of the run (enables obs)
 //   --report FILE      write the obs RunReport JSON (enables obs)
@@ -28,24 +29,66 @@
 #include "common/timer.hpp"
 #include "core/pfpl.hpp"
 #include "data/synthetic.hpp"
+#include "ingest/pipeline.hpp"
 #include "obs/flight.hpp"
 #include "obs/kernels.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
-#include "svc/batch.hpp"
 
 using namespace repro;
 
 namespace {
 
-/// Median batch wall time in ms over `reps` runs.
-double median_batch_ms(svc::BatchCompressor& batch, const std::vector<svc::Job>& jobs,
-                       int reps, std::vector<svc::JobResult>* out) {
+/// One suite file as an in-memory ingest item, plus its reference stream.
+struct Job {
+  std::string name;
+  DType dtype;
+  Bytes raw;
+  Bytes reference;
+};
+
+const pfpl::Params kParams{1e-3, EbType::ABS};
+
+/// One pass over every job: one pipeline run per dtype. Returns the streams
+/// in job order (empty where an item failed) and the summed run stats.
+struct Pass {
+  std::vector<Bytes> streams;
+  u64 chunks = 0, peak_queue_items = 0;
+};
+
+Pass run_pass(const std::vector<Job>& jobs, unsigned threads) {
+  Pass pass;
+  pass.streams.resize(jobs.size());
+  for (DType dtype : {DType::F32, DType::F64}) {
+    std::vector<ingest::Item> items;
+    std::vector<std::size_t> index;
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      if (jobs[j].dtype != dtype) continue;
+      items.push_back(ingest::Item{jobs[j].name, "", jobs[j].raw});
+      index.push_back(j);
+    }
+    if (items.empty()) continue;
+    ingest::IngestPipeline::Options o;
+    o.dtype = dtype;
+    o.params = kParams;
+    o.threads = threads;
+    ingest::IngestPipeline pipe(o);
+    std::vector<ingest::Result> rs = pipe.run(std::move(items));
+    for (std::size_t i = 0; i < rs.size(); ++i)
+      if (!rs[i].failed) pass.streams[index[i]] = std::move(rs[i].stream);
+    pass.chunks += pipe.stats().chunks;
+    pass.peak_queue_items = std::max(pass.peak_queue_items, pipe.stats().peak_queue_items);
+  }
+  return pass;
+}
+
+/// Median pass wall time in ms over `reps` runs; `out` keeps the last pass.
+double median_pass_ms(const std::vector<Job>& jobs, unsigned threads, int reps, Pass* out) {
   std::vector<double> times;
   for (int rep = 0; rep < reps; ++rep) {
     Timer t;
-    *out = batch.run(jobs);
+    *out = run_pass(jobs, threads);
     times.push_back(t.seconds() * 1e3);
   }
   std::sort(times.begin(), times.end());
@@ -64,63 +107,58 @@ int main(int argc, char** argv) {
   }
   if (!trace_path.empty() || !report_path.empty()) obs::set_enabled(true);
 
-  // Laptop-scale mix: every suite, 2 files each, ~256K values per file.
+  // Laptop-scale mix: every suite, 2 files each, ~256K values per file. The
+  // reference streams are the determinism re-check.
   auto suites = data::generate_all(/*target_values=*/1 << 18, /*max_files=*/2);
-  std::vector<svc::Job> jobs;
+  std::vector<Job> jobs;
   std::size_t total_bytes = 0;
   for (const auto& suite : suites) {
     for (const auto& file : suite.files) {
-      jobs.push_back({suite.spec.name + "/" + file.name, file.field(),
-                      pfpl::Params{1e-3, EbType::ABS}});
-      total_bytes += file.byte_size();
+      const Field field = file.field();
+      const u8* p = static_cast<const u8*>(field.data);
+      jobs.push_back({suite.spec.name + "/" + file.name, field.dtype,
+                      Bytes(p, p + field.byte_size()), pfpl::compress(field, kParams)});
+      total_bytes += field.byte_size();
     }
   }
-  std::printf("svc batch throughput: %zu jobs, %.1f MB total\n", jobs.size(),
+  std::printf("chunk fan-out throughput: %zu fields, %.1f MB total\n", jobs.size(),
               total_bytes / 1e6);
 
-  // Reference streams for the determinism re-check.
-  std::vector<Bytes> reference;
-  reference.reserve(jobs.size());
-  for (const auto& j : jobs) reference.push_back(pfpl::compress(j.field, j.params));
-
   std::printf("%8s %10s %10s %9s %8s %8s\n", "threads", "wall_ms", "GB/s", "speedup",
-              "stolen", "depth");
+              "chunks", "depth");
   double base_ms = 0;
   for (unsigned threads : {1u, 2u, 4u, 8u}) {
-    svc::BatchCompressor batch({.threads = threads});
     // Median-of-3 protocol (scaled down from the paper's 9 for batch size).
-    std::vector<svc::JobResult> results;
-    double best_ms = median_batch_ms(batch, jobs, 3, &results);
+    Pass pass;
+    const double best_ms = median_pass_ms(jobs, threads, 3, &pass);
 
-    bool identical = results.size() == reference.size();
-    for (std::size_t i = 0; identical && i < results.size(); ++i)
-      identical = !results[i].failed && results[i].stream == reference[i];
-    if (!identical) {
-      std::fprintf(stderr, "FAIL: threads=%u produced non-identical output\n", threads);
-      return 1;
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      if (pass.streams[j] != jobs[j].reference) {
+        std::fprintf(stderr, "FAIL: threads=%u produced non-identical output for %s\n",
+                     threads, jobs[j].name.c_str());
+        return 1;
+      }
     }
 
     if (threads == 1) base_ms = best_ms;
-    const svc::SvcStats& st = batch.stats();
     std::printf("%8u %10.2f %10.3f %8.2fx %8llu %8llu\n", threads, best_ms,
                 total_bytes / 1e6 / best_ms, base_ms / best_ms,
-                static_cast<unsigned long long>(st.tasks_stolen),
-                static_cast<unsigned long long>(st.peak_queue_depth));
+                static_cast<unsigned long long>(pass.chunks),
+                static_cast<unsigned long long>(pass.peak_queue_items));
   }
 
   if (overhead_check) {
-    // Pay-for-what-you-use: time the 4-thread batch with observability off,
+    // Pay-for-what-you-use: time the 4-thread pass with observability off,
     // then on. The disabled run must record nothing; the delta quantifies
     // the cost of leaving the instrumentation compiled in but switched off
     // vs. fully active.
     const bool was_enabled = obs::enabled();
-    std::vector<svc::JobResult> scratch;
+    Pass scratch;
 
     obs::set_enabled(false);
     obs::TraceRecorder::global().clear();
     obs::MetricsRegistry::global().reset();
-    svc::BatchCompressor off_batch({.threads = 4});
-    double off_ms = median_batch_ms(off_batch, jobs, 5, &scratch);
+    const double off_ms = median_pass_ms(jobs, 4, 5, &scratch);
     if (obs::TraceRecorder::global().event_count() != 0) {
       std::fprintf(stderr, "FAIL: disabled observability recorded spans\n");
       return 1;
@@ -142,11 +180,10 @@ int main(int argc, char** argv) {
     }
 
     obs::set_enabled(true);
-    svc::BatchCompressor on_batch({.threads = 4});
-    double on_ms = median_batch_ms(on_batch, jobs, 5, &scratch);
+    const double on_ms = median_pass_ms(jobs, 4, 5, &scratch);
     obs::set_enabled(was_enabled);
 
-    double delta_pct = (on_ms - off_ms) / off_ms * 100.0;
+    const double delta_pct = (on_ms - off_ms) / off_ms * 100.0;
     std::printf("overhead-check (4 threads): obs-off %.2f ms, obs-on %.2f ms, "
                 "delta %+.2f%%\n", off_ms, on_ms, delta_pct);
   }

@@ -1,14 +1,12 @@
 #include "harness.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
 #include <set>
-#include <thread>
 
 #include "baselines/registry.hpp"
 #include "common/timer.hpp"
@@ -34,18 +32,6 @@ struct FileResult {
   std::vector<double> comp_run_mbps, decomp_run_mbps;  ///< per run, obs only
 };
 
-/// Test-only slowdown hook: PFPL_TEST_SLEEP_US injects a sleep into every
-/// measured compress call, so the regression gate's fail path can be
-/// exercised deterministically (see tests + ISSUE acceptance criteria).
-/// Unset in any real benchmark run.
-long injected_sleep_us() {
-  static const long us = [] {
-    const char* e = std::getenv("PFPL_TEST_SLEEP_US");
-    return e ? std::atol(e) : 0L;
-  }();
-  return us;
-}
-
 /// Push per-run wall times (seconds) into the RunReport as milliseconds.
 void report_runs(const std::string& label, const std::vector<double>& secs) {
   std::vector<double> ms(secs.size());
@@ -64,13 +50,7 @@ FileResult measure_file(const Compressor& c, const data::SyntheticFile& f, doubl
     std::vector<double> comp_runs, decomp_runs;
     std::vector<double>* cap = obs::enabled() ? &comp_runs : nullptr;
     Bytes stream;
-    const long sleep_us = injected_sleep_us();
-    double tc = median_runtime(
-        [&] {
-          if (sleep_us > 0) std::this_thread::sleep_for(std::chrono::microseconds(sleep_us));
-          stream = c.compress(field, eps, eb);
-        },
-        runs, cap);
+    double tc = median_runtime([&] { stream = c.compress(field, eps, eb); }, runs, cap);
     std::vector<u8> raw;
     double td = median_runtime([&] { raw = c.decompress(stream); }, runs,
                                cap ? &decomp_runs : nullptr);

@@ -7,7 +7,7 @@
 //   pfpl info <in.pfpl>
 //   pfpl verify <original.raw> <in.pfpl>     # re-check the error bound
 //
-// Multi-field PFPA archives (the svc batch-compression service):
+// Multi-field PFPA archives (packed through the staged ingest pipeline):
 //   pfpl pack <out.pfpa> <in1.raw> [in2.raw ...] --dtype f32|f64
 //        --eb abs|rel|noa --eps 1e-3 [--threads N] [--exec serial|omp|gpusim]
 //   pfpl unpack <in.pfpa> <outdir> [--entry NAME]
@@ -71,7 +71,6 @@
 #include "obs/trace.hpp"
 #include "store/store.hpp"
 #include "svc/archive.hpp"
-#include "svc/batch.hpp"
 #include "temporal/pfpv.hpp"
 #include "temporal/temporal.hpp"
 
@@ -92,7 +91,6 @@ namespace {
                "       [--audit]   # re-verify every packed entry, exit 3 on violation\n"
                "       [--store DIR]   # reuse/fill a PFPS chunk store\n"
                "       [--progress]    # per-file progress + stage timing on stderr\n"
-               "       [--serial]      # synchronous batch path (no ingest pipeline)\n"
                "  pfpl unpack <in.pfpa> <outdir> [--entry NAME]\n"
                "  pfpl list <in.pfpa>\n"
                "  pfpl stats <in.pfpa|in.pfpl> [--json]\n"
@@ -216,7 +214,6 @@ struct Flags {
   bool json = false;   ///< `pfpl stats|audit --json`: machine-readable output
   bool audit = false;  ///< `pfpl pack --audit`: re-verify every packed job
   bool progress = false;  ///< `pfpl pack --progress`: per-file lines on stderr
-  bool serial = false;    ///< `pfpl pack --serial`: bypass the ingest pipeline
   bool full = false;   ///< `pfpl audit --full`: paper-scale protocol
   std::string suite;   ///< `pfpl audit --suite NAME`: restrict to one suite
   // `pfpl audit` narrows its sweep only along axes the user actually set,
@@ -525,8 +522,6 @@ Flags parse_flags(int argc, char** argv, int first, std::vector<std::string>* po
       fl.audit = true;
     } else if (a == "--progress") {
       fl.progress = true;
-    } else if (a == "--serial") {
-      fl.serial = true;
     } else if (a == "--full") {
       fl.full = true;
     } else if (!a.empty() && a[0] == '-') {
@@ -538,12 +533,6 @@ Flags parse_flags(int argc, char** argv, int first, std::vector<std::string>* po
     }
   }
   return fl;
-}
-
-Field make_field(const std::vector<u8>& raw, DType dtype) {
-  if (dtype == DType::F32)
-    return Field(reinterpret_cast<const float*>(raw.data()), raw.size() / 4);
-  return Field(reinterpret_cast<const double*>(raw.data()), raw.size() / 8);
 }
 
 int cmd_pack(const std::vector<std::string>& positional, const Flags& fl) {
@@ -571,82 +560,44 @@ int cmd_pack(const std::vector<std::string>& positional, const Flags& fl) {
     chunk_store = std::make_unique<store::ChunkStore>(so);
   }
 
-  std::vector<ingest::Result> results;
-  std::string run_summary;
-  if (fl.serial) {
-    // Reference path: read every input up front, one synchronous
-    // BatchCompressor run. Byte-identical to the pipeline by construction —
-    // the CI ingest-smoke job cmp's the two archives.
-    std::vector<std::vector<u8>> raws;
-    std::vector<svc::Job> jobs;
-    raws.reserve(positional.size() - 1);
-    for (std::size_t i = 1; i < positional.size(); ++i) {
-      raws.push_back(io::read_file(positional[i]));
-      jobs.push_back({names[i - 1], make_field(raws.back(), fl.dtype), fl.params});
-    }
-    svc::BatchCompressor batch(
-        {.threads = fl.threads, .audit = fl.audit, .store = chunk_store.get()});
-    std::vector<svc::JobResult> jr = batch.run(jobs);
-    results.reserve(jr.size());
-    for (svc::JobResult& r : jr) {
-      ingest::Result out;
-      out.name = std::move(r.name);
-      out.stream = std::move(r.stream);
-      out.header = r.header;
-      out.raw_bytes = r.raw_bytes;
-      out.failed = r.failed;
-      out.error = std::move(r.error);
-      out.reused = r.reused;
-      out.audited = r.audited;
-      out.audit_violations = r.audit_violations;
-      results.push_back(std::move(out));
-    }
-    run_summary = batch.stats().summary();
-    if (obs::enabled())
-      obs::RunReport::global().add_section("svc", batch.stats().json());
-  } else {
-    // Default path: the staged ingest pipeline overlaps reading, dedup
-    // probing, encoding, and the batched segment appends.
-    ingest::IngestPipeline::Options po;
-    po.dtype = fl.dtype;
-    po.params = fl.params;
-    po.threads = fl.threads;
-    po.audit = fl.audit;
-    po.store = chunk_store.get();
-    if (fl.progress)
-      po.progress = [](const ingest::Result& r, std::size_t i, std::size_t n) {
-        if (r.failed || r.cancelled) {
-          std::fprintf(stderr, "pfpl: [%zu/%zu] %s: %s\n", i + 1, n, r.name.c_str(),
-                       r.error.c_str());
-        } else {
-          std::fprintf(stderr, "pfpl: [%zu/%zu] %s: %llu -> %zu bytes (ratio %.2f)%s\n",
-                       i + 1, n, r.name.c_str(),
-                       static_cast<unsigned long long>(r.raw_bytes), r.stream.size(),
-                       r.stream.empty() ? 0.0
-                                        : static_cast<double>(r.raw_bytes) /
-                                              static_cast<double>(r.stream.size()),
-                       r.reused ? " [reused]" : "");
-        }
-      };
-    std::vector<ingest::Item> items;
-    items.reserve(positional.size() - 1);
-    for (std::size_t i = 1; i < positional.size(); ++i)
-      items.push_back(ingest::Item{names[i - 1], positional[i], {}});
-    ingest::IngestPipeline pipe(po);
-    results = pipe.run(std::move(items));
-    run_summary = pipe.stats().summary();
-    if (fl.progress) {
-      const ingest::IngestStats& st = pipe.stats();
-      std::fprintf(stderr,
-                   "pfpl: stages read/hash/encode/append = %.1f/%.1f/%.1f/%.1f ms, "
-                   "wall %.1f ms, %llu append batch(es), peak queue %.1f MB\n",
-                   st.read_ms, st.hash_ms, st.encode_ms, st.append_ms, st.wall_ms,
-                   static_cast<unsigned long long>(st.append_batches),
-                   st.peak_queue_bytes / 1e6);
-    }
-    if (obs::enabled())
-      obs::RunReport::global().add_section("ingest", pipe.stats().json());
-  }
+  // The staged ingest pipeline overlaps reading, dedup probing, encoding,
+  // and the batched segment appends.
+  ingest::IngestPipeline::Options po;
+  po.dtype = fl.dtype;
+  po.params = fl.params;
+  po.threads = fl.threads;
+  po.audit = fl.audit;
+  po.store = chunk_store.get();
+  if (fl.progress)
+    po.progress = [](const ingest::Result& r, std::size_t i, std::size_t n) {
+      if (r.failed || r.cancelled) {
+        std::fprintf(stderr, "pfpl: [%zu/%zu] %s: %s\n", i + 1, n, r.name.c_str(),
+                     r.error.c_str());
+      } else {
+        std::fprintf(stderr, "pfpl: [%zu/%zu] %s: %llu -> %zu bytes (ratio %.2f)%s\n",
+                     i + 1, n, r.name.c_str(),
+                     static_cast<unsigned long long>(r.raw_bytes), r.stream.size(),
+                     r.stream.empty() ? 0.0
+                                      : static_cast<double>(r.raw_bytes) /
+                                            static_cast<double>(r.stream.size()),
+                     r.reused ? " [reused]" : "");
+      }
+    };
+  std::vector<ingest::Item> items;
+  items.reserve(positional.size() - 1);
+  for (std::size_t i = 1; i < positional.size(); ++i)
+    items.push_back(ingest::Item{names[i - 1], positional[i], {}});
+  ingest::IngestPipeline pipe(po);
+  const std::vector<ingest::Result> results = pipe.run(std::move(items));
+  const ingest::IngestStats& st = pipe.stats();
+  if (fl.progress)
+    std::fprintf(stderr,
+                 "pfpl: stages read/hash/encode/append = %.1f/%.1f/%.1f/%.1f ms, "
+                 "wall %.1f ms, %llu append batch(es), peak queue %.1f MB\n",
+                 st.read_ms, st.hash_ms, st.encode_ms, st.append_ms, st.wall_ms,
+                 static_cast<unsigned long long>(st.append_batches),
+                 st.peak_queue_bytes / 1e6);
+  if (obs::enabled()) obs::RunReport::global().add_section("ingest", st.json());
   if (chunk_store) {
     chunk_store->sync();
     if (obs::enabled())
@@ -671,7 +622,7 @@ int cmd_pack(const std::vector<std::string>& positional, const Flags& fl) {
   }
   writer.finish();
   std::printf("%s: %zu entries\n%s\n", out_path.c_str(), results.size() - failed,
-              run_summary.c_str());
+              st.summary().c_str());
   if (failed) return 1;
   return audit_violations ? 3 : 0;
 }
@@ -1629,6 +1580,7 @@ int cmd_store(const std::vector<std::string>& positional, const Flags& fl) {
       // Single file: the synchronous path, which can print the content key
       // (the pipeline's probe computes keys internally).
       std::vector<u8> raw = io::read_file(positional[1]);
+      const Field field = raw_field(raw.data(), raw.size(), fl.dtype);
       const common::Hash128 key = store::compress_key(raw.data(), raw.size(), fl.dtype,
                                                       fl.params.eb, fl.params.eps);
       Bytes cached;
@@ -1636,7 +1588,7 @@ int cmd_store(const std::vector<std::string>& positional, const Flags& fl) {
         std::printf("%s: already stored (%zu bytes)\n", key.hex().c_str(), cached.size());
         return 0;
       }
-      Bytes stream = pfpl::compress(make_field(raw, fl.dtype), fl.params);
+      Bytes stream = pfpl::compress(field, fl.params);
       cs.put(key, stream,
              store::ChunkMeta{fl.dtype, fl.params.eb, fl.params.eps, raw.size()});
       cs.sync();
@@ -2063,26 +2015,28 @@ int run_command(int argc, char** argv) {
       std::vector<u8> orig = io::read_file(argv[2]);
       Bytes comp = io::read_file(argv[3]);
       pfpl::Header h = pfpl::peek_header(comp);
+      // The original must be whole values of the stream's dtype, one per
+      // stored value: a cut-off or mismatched file is an error, not a pass.
+      const Field o = raw_field(orig.data(), orig.size(), h.dtype);
+      if (o.count() != h.value_count)
+        throw CompressionError("verify: original has " + std::to_string(o.count()) +
+                               " " + to_string(h.dtype) + " values, stream has " +
+                               std::to_string(h.value_count));
       std::vector<u8> back = pfpl::decompress(comp);
+      const Field r = raw_field(back.data(), back.size(), h.dtype);
       std::size_t bad = 0;
       double max_abs = 0, max_rel = 0, psnr = 0;
-      if (h.dtype == DType::F32) {
-        std::span<const float> o(reinterpret_cast<const float*>(orig.data()), orig.size() / 4);
-        std::span<const float> r(reinterpret_cast<const float*>(back.data()), back.size() / 4);
-        bad = metrics::count_violations(o, r, h.eps, h.eb_type);
-        auto st = metrics::compute_stats(o, r);
+      auto check = [&](auto o_vals, auto r_vals) {
+        bad = metrics::count_violations(o_vals, r_vals, h.eps, h.eb_type);
+        const auto st = metrics::compute_stats(o_vals, r_vals);
         max_abs = st.max_abs;
         max_rel = st.max_rel;
         psnr = st.psnr;
-      } else {
-        std::span<const double> o(reinterpret_cast<const double*>(orig.data()), orig.size() / 8);
-        std::span<const double> r(reinterpret_cast<const double*>(back.data()), back.size() / 8);
-        bad = metrics::count_violations(o, r, h.eps, h.eb_type);
-        auto st = metrics::compute_stats(o, r);
-        max_abs = st.max_abs;
-        max_rel = st.max_rel;
-        psnr = st.psnr;
-      }
+      };
+      if (h.dtype == DType::F32)
+        check(o.as<float>(), r.as<float>());
+      else
+        check(o.as<double>(), r.as<double>());
       std::printf("eb=%s eps=%g  max_abs_err=%.6g max_rel_err=%.6g psnr=%.2f dB\n",
                   to_string(h.eb_type), h.eps, max_abs, max_rel, psnr);
       std::printf("violations: %zu %s\n", bad, bad == 0 ? "(bound holds)" : "(BOUND VIOLATED)");
@@ -2093,7 +2047,7 @@ int run_command(int argc, char** argv) {
     Flags fl = parse_flags(argc, argv, 4, nullptr);
     if (mode == "c") {
       std::vector<u8> raw = io::read_file(in_path);
-      Bytes out = pfpl::compress(make_field(raw, fl.dtype), fl.params);
+      Bytes out = pfpl::compress(raw_field(raw.data(), raw.size(), fl.dtype), fl.params);
       io::write_file(out_path, out.data(), out.size());
       std::printf("%zu -> %zu bytes (ratio %.3f)\n", raw.size(), out.size(),
                   static_cast<double>(raw.size()) / static_cast<double>(out.size()));

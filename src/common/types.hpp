@@ -102,4 +102,16 @@ class CompressionError : public std::runtime_error {
   explicit CompressionError(const std::string& what) : std::runtime_error(what) {}
 };
 
+/// View `bytes` bytes of bare little-endian scalars (the raw on-disk format)
+/// as a 1D field of `dtype`. Throws CompressionError when the size is not a
+/// whole number of values, rather than silently dropping the tail.
+inline Field raw_field(const void* data, std::size_t bytes, DType dtype) {
+  if (bytes % dtype_size(dtype) != 0)
+    throw CompressionError("raw input of " + std::to_string(bytes) +
+                           " bytes is not a whole number of " + to_string(dtype) +
+                           " values");
+  if (dtype == DType::F32) return Field(static_cast<const float*>(data), bytes / 4);
+  return Field(static_cast<const double*>(data), bytes / 8);
+}
+
 }  // namespace repro

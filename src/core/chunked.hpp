@@ -4,16 +4,17 @@
 // is planned — which fixes the quantizer constants, including the NOA range
 // reduction — every chunk can be encoded by any thread in any order and the
 // assembled stream is byte-identical to the one-shot pfpl::compress(). These
-// three functions are that decomposition, factored out of pfpl.cpp so other
-// schedulers (the svc batch-compression service, future async backends) can
-// drive the same code instead of re-implementing it:
+// three functions are that decomposition; perfbench and the tests drive them
+// directly, and any scheduler can run the loop through
+// compress(in, p, for_each) instead of re-implementing it:
 //
 //   Header h = plan_header(field, params);          // sequential, cheap
 //   for each chunk c (any order, any thread):
 //     sizes[c] = encode_chunk(field, h, c, exec, payloads[c]);
 //   Bytes out = assemble_stream(h, sizes, payloads, exec);
 //
-// pfpl::compress() itself is implemented on top of these.
+// pfpl::compress() runs exactly this loop, with the executor's (or the
+// caller's) for_each as the "for each chunk".
 #pragma once
 
 #include <vector>

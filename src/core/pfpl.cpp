@@ -3,9 +3,11 @@
 #include <omp.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
-#include <exception>
 #include <cstring>
+#include <exception>
+#include <mutex>
 #include <numeric>
 
 #include "core/chunked.hpp"
@@ -41,6 +43,45 @@ struct CoreMetrics {
     return m;
   }
 };
+
+/// The executors' chunk loops. The OpenMP one is the codec's only parallel
+/// region; dynamic scheduling mirrors the paper's dynamic chunk assignment
+/// for load balance (chunks differ in compressibility).
+void serial_for_each(std::size_t n, const ChunkBody& body) {
+  for (std::size_t c = 0; c < n; ++c) body(c);
+}
+
+void omp_for_each(std::size_t n, const ChunkBody& body) {
+#pragma omp parallel for schedule(dynamic)
+  for (std::ptrdiff_t c = 0; c < static_cast<std::ptrdiff_t>(n); ++c)
+    body(static_cast<std::size_t>(c));
+}
+
+ForEach executor_loop(Executor exec) {
+  return exec == Executor::OpenMP ? ForEach(omp_for_each) : ForEach(serial_for_each);
+}
+
+/// The one chunk loop of compress and decompress: `body(c)` for every chunk,
+/// fanned out by `for_each`. The first exception a chunk throws (a corrupt
+/// chunk) is held — it must not unwind through a parallel region or a pool
+/// worker — the chunks not yet started are skipped, and it is rethrown here
+/// once every call has returned.
+void for_each_chunk(std::size_t nchunks, const ForEach& for_each, const ChunkBody& body) {
+  std::mutex m;
+  std::exception_ptr err;
+  std::atomic<bool> failed{false};
+  for_each(nchunks, [&](std::size_t c) {
+    if (failed.load()) return;
+    try {
+      body(c);
+    } catch (...) {
+      std::lock_guard<std::mutex> lk(m);
+      if (!err) err = std::current_exception();
+      failed.store(true);
+    }
+  });
+  if (err) std::rethrow_exception(err);
+}
 
 /// Min/max reduction over the finite values of the input (NOA needs the value
 /// range, Section III-A; the reduction result is stored in the header so the
@@ -127,7 +168,7 @@ std::vector<u8> decompress_typed(const Bytes& in, const Header& h, const Q& q,
   if (in.size() < table_off + nchunks * sizeof(u32))
     throw CompressionError("PFPL stream: truncated chunk table");
   std::vector<u32> sizes(nchunks);
-  std::memcpy(sizes.data(), in.data() + table_off, nchunks * sizeof(u32));
+  if (nchunks) std::memcpy(sizes.data(), in.data() + table_off, nchunks * sizeof(u32));
 
   // Prefix sum over chunk sizes locates every chunk (paper: "the decoder
   // computes a prefix sum over the stored chunk sizes").
@@ -160,22 +201,7 @@ std::vector<u8> decompress_typed(const Bytes& in, const Header& h, const Q& q,
     CoreMetrics::get().chunks_decoded.add(1);
   };
 
-  if (exec == Executor::OpenMP) {
-    // Exceptions (corrupt chunks) must not escape the parallel region.
-    std::exception_ptr err;
-#pragma omp parallel for schedule(dynamic)
-    for (std::ptrdiff_t c = 0; c < static_cast<std::ptrdiff_t>(nchunks); ++c) {
-      try {
-        do_chunk(static_cast<std::size_t>(c));
-      } catch (...) {
-#pragma omp critical
-        if (!err) err = std::current_exception();
-      }
-    }
-    if (err) std::rethrow_exception(err);
-  } else {
-    for (std::size_t c = 0; c < nchunks; ++c) do_chunk(c);
-  }
+  for_each_chunk(nchunks, executor_loop(exec), do_chunk);
   return out;
 }
 
@@ -286,23 +312,17 @@ Bytes assemble_stream(const Header& h, const std::vector<u32>& sizes,
 }
 
 Bytes compress(const Field& in, const Params& p) {
-  OBS_SPAN("pfpl.compress");
-  Header h = plan_header(in, p);
-  const std::size_t nchunks = h.chunk_count;
-  std::vector<Bytes> payloads(nchunks);
-  std::vector<u32> sizes(nchunks, 0);
+  return compress(in, p, executor_loop(p.exec));
+}
 
-  if (p.exec == Executor::OpenMP) {
-    // Dynamic scheduling mirrors the paper's dynamic chunk assignment for
-    // load balance (chunks differ in compressibility).
-#pragma omp parallel for schedule(dynamic)
-    for (std::ptrdiff_t c = 0; c < static_cast<std::ptrdiff_t>(nchunks); ++c) {
-      sizes[c] = encode_chunk(in, h, static_cast<std::size_t>(c), p.exec, payloads[c]);
-    }
-  } else {
-    for (std::size_t c = 0; c < nchunks; ++c)
-      sizes[c] = encode_chunk(in, h, c, p.exec, payloads[c]);
-  }
+Bytes compress(const Field& in, const Params& p, const ForEach& for_each) {
+  OBS_SPAN("pfpl.compress");
+  const Header h = plan_header(in, p);
+  std::vector<Bytes> payloads(h.chunk_count);
+  std::vector<u32> sizes(h.chunk_count, 0);
+  for_each_chunk(h.chunk_count, for_each, [&](std::size_t c) {
+    sizes[c] = encode_chunk(in, h, c, p.exec, payloads[c]);
+  });
   return assemble_stream(h, sizes, payloads, p.exec);
 }
 

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstring>
+#include <functional>
 #include <vector>
 
 #include "common/compressor.hpp"
@@ -47,10 +48,23 @@ struct Params {
   Executor exec = Executor::Serial;   ///< execution backend
 };
 
+/// A chunk loop runner: calls `body(i)` once for every i in [0, n), in any
+/// order and on any thread, and returns once every call has returned.
+/// Chunks are independent, so compress/decompress take their fan-out from
+/// one of these — the executor's own loop (serial or OpenMP), or a caller's
+/// pool (svc::ThreadPool::for_each) — and the output cannot depend on it.
+using ChunkBody = std::function<void(std::size_t)>;
+using ForEach = std::function<void(std::size_t n, const ChunkBody& body)>;
+
 /// Compress a field. Throws CompressionError on invalid bounds
 /// (ABS requires eps >= the smallest positive normal value of the dtype;
 /// REL requires eps > 0; NOA requires eps >= 0).
 Bytes compress(const Field& in, const Params& p);
+
+/// compress() with the chunks fanned out by `for_each` instead of the
+/// executor's loop; `p.exec` still picks the chunk kernels (CPU or GPU-sim).
+/// The stream is byte-identical to compress(in, p).
+Bytes compress(const Field& in, const Params& p, const ForEach& for_each);
 
 /// Decompress a stream produced by any executor. Returns raw scalar bytes
 /// (dtype recorded in the stream header).
@@ -63,7 +77,7 @@ template <typename T>
 std::vector<T> decompress_as(const Bytes& stream, Executor exec = Executor::Serial) {
   std::vector<u8> raw = decompress(stream, exec);
   std::vector<T> out(raw.size() / sizeof(T));
-  std::memcpy(out.data(), raw.data(), out.size() * sizeof(T));
+  if (!out.empty()) std::memcpy(out.data(), raw.data(), out.size() * sizeof(T));
   return out;
 }
 

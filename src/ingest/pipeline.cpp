@@ -2,14 +2,11 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
-#include <future>
 #include <mutex>
 #include <thread>
 #include <utility>
 
 #include "common/timer.hpp"
-#include "core/chunked.hpp"
 #include "ingest/queue.hpp"
 #include "io/buffered_reader.hpp"
 #include "obs/audit.hpp"
@@ -17,7 +14,6 @@
 #include "obs/trace.hpp"
 #include "obs/watchdog.hpp"
 #include "store/store.hpp"
-#include "svc/byte_budget.hpp"
 #include "svc/thread_pool.hpp"
 
 namespace repro::ingest {
@@ -55,20 +51,6 @@ struct IngestMetrics {
 
 void stage_sleep(u64 us) {
   if (us) std::this_thread::sleep_for(std::chrono::microseconds(us));
-}
-
-/// Slow-consumer test hook: PFPL_INGEST_TEST_SLOW_STAGE_US stalls the append
-/// stage per item, so upstream queues fill and the byte-budget backpressure
-/// test can observe the high-water marks. Read once per run.
-u64 slow_stage_us() {
-  const char* e = std::getenv("PFPL_INGEST_TEST_SLOW_STAGE_US");
-  return e ? std::strtoull(e, nullptr, 10) : 0ull;
-}
-
-Field make_field(const Bytes& raw, DType dtype) {
-  if (dtype == DType::F32)
-    return Field(reinterpret_cast<const float*>(raw.data()), raw.size() / 4);
-  return Field(reinterpret_cast<const double*>(raw.data()), raw.size() / 8);
 }
 
 }  // namespace
@@ -184,8 +166,6 @@ std::vector<Result> IngestPipeline::run(std::vector<Item> items) {
     if (opts_.progress) opts_.progress(r, w->index, total);
   };
 
-  const u64 slow_us = slow_stage_us();
-
   // Watchdog slots, one per stage, shared by every pipeline instance (the
   // names are stable and slots are never recycled). Each stage marks itself
   // busy per item — including queue pushes, so a stage wedged on a full
@@ -278,55 +258,26 @@ std::vector<Result> IngestPipeline::run(std::vector<Item> items) {
   });
 
   // ---- stage 3: encode (chunk fan-out on the svc pool) -------------------
+  // pfpl's own chunk loop with the pool as its runner, so the stream is
+  // byte-identical to single-threaded pfpl::compress by construction.
+  const pfpl::ForEach pool_loop = [this](std::size_t n, const pfpl::ChunkBody& body) {
+    pool_->for_each(n, body);
+  };
   std::thread encode_thread([&] {
     double stage_ms = 0;
     u64 chunks = 0, audited = 0, violations = 0;
-    svc::ByteBudget budget(opts_.max_inflight_bytes);
     WorkPtr w;
     while (q_encode.pop(w)) {
       obs::StallScope stall(wd_encode, w->index);
       if (!w->failed && !abort.load(std::memory_order_relaxed)) {
         Timer t;
         if (!w->reused) {
-          // Same plan / per-chunk code / slot-ordered assembly as
-          // svc::BatchCompressor — the output is byte-identical to
-          // single-threaded pfpl::compress by construction.
           try {
-            const Field field = make_field(w->item.raw, opts_.dtype);
-            w->header = pfpl::plan_header(field, opts_.params);
-            std::vector<Bytes> payloads(w->header.chunk_count);
-            std::vector<u32> sizes(w->header.chunk_count, 0);
-            std::vector<std::future<u32>> futures;
-            futures.reserve(w->header.chunk_count);
-            const pfpl::Executor exec = opts_.params.exec;
-            const std::size_t chunk_bytes =
-                pfpl::chunk_values(opts_.dtype) * dtype_size(opts_.dtype);
-            const pfpl::Header* h = &w->header;
-            for (std::size_t c = 0; c < w->header.chunk_count; ++c) {
-              budget.acquire(chunk_bytes);
-              Bytes* slot = &payloads[c];
-              futures.push_back(pool_->submit([&field, h, c, exec, slot, &budget,
-                                               chunk_bytes]() -> u32 {
-                struct Release {
-                  svc::ByteBudget* b;
-                  std::size_t n;
-                  ~Release() { b->release(n); }
-                } release{&budget, chunk_bytes};
-                return pfpl::encode_chunk(field, *h, c, exec, *slot);
-              }));
-              ++chunks;
-            }
-            try {
-              for (std::size_t c = 0; c < futures.size(); ++c)
-                sizes[c] = futures[c].get();
-              w->stream =
-                  pfpl::assemble_stream(w->header, sizes, payloads, exec);
-            } catch (...) {
-              // Drain remaining futures so no task outlives its slots.
-              for (auto& f : futures)
-                if (f.valid()) f.wait();
-              throw;
-            }
+            w->stream = pfpl::compress(
+                raw_field(w->item.raw.data(), w->item.raw.size(), opts_.dtype),
+                opts_.params, pool_loop);
+            w->header = pfpl::peek_header(w->stream);
+            chunks += w->header.chunk_count;
           } catch (const std::exception& e) {
             on_item_error(*w, e.what());
           }
@@ -335,7 +286,8 @@ std::vector<Result> IngestPipeline::run(std::vector<Item> items) {
           // Audit covers reused streams too: the probe's promise is
           // byte-identity, so a stored stream must satisfy the same bound.
           try {
-            const Field field = make_field(w->item.raw, opts_.dtype);
+            const Field field =
+                raw_field(w->item.raw.data(), w->item.raw.size(), opts_.dtype);
             const std::vector<u8> raw_back =
                 pfpl::decompress(w->stream, opts_.params.exec);
             const obs::AuditCase ac = obs::ErrorBoundAuditor::verify_field(
@@ -409,7 +361,6 @@ std::vector<Result> IngestPipeline::run(std::vector<Item> items) {
     WorkPtr w;
     while (q_append.pop(w)) {
       obs::StallScope stall(wd_append, w->index);
-      stage_sleep(slow_us);
       stage_sleep(opts_.stage_cost_us[3]);
       batch_payload += w->stream.size();
       batch.push_back(std::move(w));
@@ -418,7 +369,6 @@ std::vector<Result> IngestPipeline::run(std::vector<Item> items) {
       // away so a trickle of items never waits on a half-full batch.
       while (batch.size() < opts_.batch_items && batch_payload < opts_.batch_bytes &&
              q_append.try_pop(w)) {
-        stage_sleep(slow_us);
         stage_sleep(opts_.stage_cost_us[3]);
         batch_payload += w->stream.size();
         batch.push_back(std::move(w));

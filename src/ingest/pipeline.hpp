@@ -7,9 +7,10 @@
 //
 //   read    double-buffered chunked file reads (io::DoubleBufferedReader)
 //   hash    content key + store dedup probe: a hit skips encoding entirely
-//   encode  chunk fan-out across the svc ThreadPool, slot-ordered assembly —
-//           the exact BatchCompressor discipline, so the output stream is
-//           byte-identical to single-threaded pfpl::compress
+//   encode  pfpl::compress with its chunks fanned out by the svc
+//           ThreadPool (ThreadPool::for_each) — the codec's own chunk loop,
+//           so the output stream is byte-identical to single-threaded
+//           pfpl::compress
 //   append  batched ChunkStore::put_batch with one group fsync per batch
 //
 // Each stage runs on its own thread; queues are FIFO, so items complete in
@@ -94,7 +95,6 @@ class IngestPipeline {
     /// first (or when the append queue momentarily runs dry).
     std::size_t batch_items = 16;
     std::size_t batch_bytes = 32u << 20;
-    std::size_t max_inflight_bytes = 256u << 20;  ///< encode chunk admission
     bool audit = false;      ///< re-verify every stream against its bound
     bool fail_fast = false;  ///< first error cancels upstream stages
     /// Optional PFPS chunk store (borrowed; must outlive the pipeline).

@@ -3,9 +3,8 @@
 // MPMC, bounded by BOTH an item count and a byte budget: push() blocks while
 // either bound is exceeded, which is the pipeline's backpressure — a fast
 // reader can never buffer more than `max_bytes` of raw file data ahead of a
-// slow encoder. One oversized item is admitted when the queue is empty
-// (mirroring svc::ByteBudget), otherwise a file larger than the whole budget
-// would deadlock the pipeline.
+// slow encoder. One oversized item is admitted when the queue is empty,
+// otherwise a file larger than the whole budget would deadlock the pipeline.
 //
 // Lifecycle: close() ends the stream — pushes are rejected, pops drain the
 // remaining items then return false. cancel() is the error path — pending

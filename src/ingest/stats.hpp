@@ -19,7 +19,7 @@ struct IngestStats {
   u64 files_failed = 0;     ///< items that ended with an error
   u64 files_cancelled = 0;  ///< items dropped by first-error cancellation
   u64 files_reused = 0;     ///< items answered by the store's dedup probe
-  u64 chunks = 0;           ///< encode-stage chunk tasks executed
+  u64 chunks = 0;           ///< chunks the encode stage compressed
   u64 bytes_in = 0;         ///< raw bytes across all items
   u64 bytes_out = 0;        ///< compressed stream bytes across all items
   u64 probe_hits = 0;       ///< dedup-probe store hits

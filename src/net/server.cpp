@@ -845,11 +845,8 @@ struct Server::Impl {
             hit = pr.hit;
           }
           if (!hit) {
-            Field field = h.dtype == static_cast<u8>(DType::F64)
-                              ? Field(reinterpret_cast<const double*>(payload->data()),
-                                      payload->size() / 8)
-                              : Field(reinterpret_cast<const float*>(payload->data()),
-                                      payload->size() / 4);
+            const Field field =
+                raw_field(payload->data(), payload->size(), static_cast<DType>(h.dtype));
             pfpl::Params params{h.eps, static_cast<EbType>(h.eb_type), exec};
             stream = pfpl::compress(field, params);
             if (cs)

@@ -15,7 +15,8 @@
 //     `max_inflight_bytes` of dispatched-but-unanswered payload, the loop
 //     parks its parsed-but-undispatched frames and stops polling it for
 //     reads. A single request larger than the whole budget is admitted alone
-//     (mirroring svc's ByteBudget) so it cannot deadlock.
+//     (as ingest's BoundedQueue admits one oversized item) so it cannot
+//     deadlock.
 //   * Graceful drain (SIGINT via request_stop(), or a SHUTDOWN frame): stop
 //     accepting connections, answer new requests with a typed Draining
 //     error, let in-flight requests finish and their responses flush, then

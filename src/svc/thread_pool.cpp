@@ -1,6 +1,8 @@
 #include "svc/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -163,6 +165,46 @@ void ThreadPool::worker_loop(unsigned self) {
     }
     space_cv_.notify_one();
   }
+}
+
+void ThreadPool::for_each(std::size_t n, const std::function<void(std::size_t)>& body) {
+  if (n == 0) return;
+  // Lives on the caller's stack: safe, because the caller does not return
+  // before every task has checked out under `m`.
+  struct Loop {
+    std::atomic<std::size_t> next{0};
+    std::mutex m;
+    std::condition_variable done;
+    std::size_t live = 0;
+    std::exception_ptr err;
+  } loop;
+  const std::size_t tasks = std::min<std::size_t>(n, workers_.size());
+  loop.live = tasks;
+  auto run = [&loop, &body, n] {
+    try {
+      for (std::size_t i; (i = loop.next.fetch_add(1)) < n;) body(i);
+    } catch (...) {
+      loop.next.store(n);  // the other tasks stop
+      std::lock_guard<std::mutex> lk(loop.m);
+      if (!loop.err) loop.err = std::current_exception();
+    }
+    std::lock_guard<std::mutex> lk(loop.m);
+    if (--loop.live == 0) loop.done.notify_all();
+  };
+  std::size_t submitted = 0;
+  std::exception_ptr submit_err;
+  try {
+    for (; submitted < tasks; ++submitted) enqueue(run);
+  } catch (...) {
+    submit_err = std::current_exception();
+  }
+  std::unique_lock<std::mutex> lk(loop.m);
+  loop.live -= tasks - submitted;
+  loop.done.wait(lk, [&] { return loop.live == 0; });
+  if (loop.err) std::rethrow_exception(loop.err);
+  // One queued task is enough to run every index; only a loop that could
+  // not queue any (shutdown or drain) has failed to run.
+  if (submitted == 0) std::rethrow_exception(submit_err);
 }
 
 void ThreadPool::wait_idle() {

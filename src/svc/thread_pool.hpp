@@ -1,4 +1,5 @@
-// Work-stealing thread pool for the batch-compression service.
+// Work-stealing thread pool shared by the ingest pipeline's chunk fan-out
+// and the network server's request dispatch.
 //
 // Design (DESIGN.md §svc):
 //   * one task deque per worker. The owner pushes and pops at the back
@@ -15,9 +16,10 @@
 //     after shutdown began are rejected with CompressionError.
 //
 // The pool is deliberately scheduler-only: task *results* are delivered via
-// futures, so any execution order yields the same values — determinism of
-// the compressed output is the responsibility of the caller's slot layout
-// (see svc/batch.cpp), not of the scheduler.
+// futures (submit) or written by the caller's body into its own slots
+// (for_each), so any execution order yields the same values — determinism
+// of the compressed output comes from pfpl's slot-ordered assembly, not
+// from the scheduler.
 #pragma once
 
 #include <condition_variable>
@@ -62,6 +64,15 @@ class ThreadPool {
     return fut;
   }
 
+  /// Run `body(i)` once for every i in [0, n) on the workers and return when
+  /// all calls have returned — the pool's pfpl::ForEach. Submits at most
+  /// worker_count() tasks; each pulls indices from a shared counter, so an
+  /// n-chunk field costs a handful of queue operations, not n. The first
+  /// exception `body` throws stops the remaining indices and is rethrown
+  /// after every task has finished. Must not be called from one of this
+  /// pool's own tasks (the caller blocks; the workers could all be callers).
+  void for_each(std::size_t n, const std::function<void(std::size_t)>& body);
+
   /// Block until every queued and running task has finished.
   void wait_idle();
 
@@ -70,8 +81,7 @@ class ThreadPool {
   /// queued and running task finishes, then the pool accepts work again.
   /// This is the quiescence primitive the network server's graceful shutdown
   /// uses (finish in-flight requests, reject new ones, keep the workers),
-  /// and what the batch path uses to guarantee the pool is idle before it
-  /// snapshots scheduler counters.
+  /// and what the ingest pipeline uses to leave the pool idle after a run.
   void drain();
 
   /// True while a drain() is in progress (submissions are being rejected).

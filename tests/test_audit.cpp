@@ -1,6 +1,6 @@
 // ErrorBoundAuditor: the clean sweep is clean, a corrupted decode is caught
-// with a reproducible drill-down, and the BatchCompressor audit hook re-uses
-// the same verifier.
+// with a reproducible drill-down, and the ingest pipeline's audit hook
+// re-uses the same verifier.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,10 +10,10 @@
 #include "core/chunked.hpp"
 #include "core/pfpl.hpp"
 #include "data/synthetic.hpp"
+#include "ingest/pipeline.hpp"
 #include "obs/audit.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "svc/batch.hpp"
 
 using namespace repro;
 using namespace repro::obs;
@@ -139,28 +139,39 @@ TEST(Audit, VerifyFieldFlagsTruncatedReconstruction) {
   EXPECT_EQ(cut.first.index, 9000u);
 }
 
-TEST(Audit, BatchCompressorAuditHook) {
-  // The service path runs the same verifier when Options::audit is set.
+TEST(Audit, IngestPipelineAuditHook) {
+  // The ingest path runs the same verifier when Options::audit is set.
   data::Suite suite = data::generate(data::paper_suites()[0], 1 << 12, 2);
-  std::vector<svc::Job> jobs;
-  for (const auto& f : suite.files)
-    jobs.push_back({f.name, f.field(), pfpl::Params{1e-3, EbType::ABS}});
-
-  svc::BatchCompressor batch({.threads = 2, .audit = true});
-  std::vector<svc::JobResult> results = batch.run(jobs);
-  ASSERT_EQ(results.size(), jobs.size());
-  for (const svc::JobResult& r : results) {
-    EXPECT_FALSE(r.failed);
+  auto items = [&] {
+    std::vector<ingest::Item> v;
+    for (const auto& f : suite.files) {
+      const Field field = f.field();
+      const u8* p = static_cast<const u8*>(field.data);
+      v.push_back({f.name, "", Bytes(p, p + field.byte_size())});
+    }
+    return v;
+  };
+  ingest::IngestPipeline::Options o;
+  o.dtype = suite.files.front().field().dtype;
+  o.params = pfpl::Params{1e-3, EbType::ABS};
+  o.threads = 2;
+  o.audit = true;
+  ingest::IngestPipeline audited(o);
+  std::vector<ingest::Result> results = audited.run(items());
+  ASSERT_EQ(results.size(), suite.files.size());
+  for (const ingest::Result& r : results) {
+    EXPECT_FALSE(r.failed) << r.error;
     EXPECT_TRUE(r.audited);
     EXPECT_EQ(r.audit_violations, 0u) << r.name;
   }
-  EXPECT_EQ(batch.stats().jobs_audited, jobs.size());
-  EXPECT_EQ(batch.stats().audit_violations, 0u);
+  EXPECT_EQ(audited.stats().audited, suite.files.size());
+  EXPECT_EQ(audited.stats().audit_violations, 0u);
 
   // Without the option nothing is audited (and no decompress cost is paid).
-  svc::BatchCompressor plain({.threads = 2});
-  for (const svc::JobResult& r : plain.run(jobs)) {
+  o.audit = false;
+  ingest::IngestPipeline plain(o);
+  for (const ingest::Result& r : plain.run(items())) {
     EXPECT_FALSE(r.audited);
   }
-  EXPECT_EQ(plain.stats().jobs_audited, 0u);
+  EXPECT_EQ(plain.stats().audited, 0u);
 }

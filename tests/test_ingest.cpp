@@ -1,17 +1,20 @@
 // Tests for the asynchronous staged ingest pipeline: byte-identity with the
-// serial compressor, in-order completion, dedup-probe reuse, bounded-queue
-// backpressure (byte budget held under a slow consumer), first-error
+// serial compressor for every dtype, bound type and worker count (the pool
+// drives the codec's chunk loop), in-order completion, dedup-probe reuse,
+// bounded-queue backpressure (byte budget held under a slow consumer),
+// per-item errors (bad bounds, misaligned raw input), first-error
 // cancellation without deadlock, and the audit hook.
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/chunked.hpp"
 #include "core/pfpl.hpp"
 #include "ingest/pipeline.hpp"
 #include "ingest/queue.hpp"
@@ -101,6 +104,90 @@ TEST(IngestPipeline, StreamsByteIdenticalToSerialCompress) {
   EXPECT_EQ(st.files_failed, 0u);
   EXPECT_GT(st.chunks, 0u);
   EXPECT_EQ(st.bytes_in, 5u * kValues * sizeof(float));
+}
+
+namespace {
+
+template <typename T>
+Bytes wave_bytes(std::size_t n, double phase) {
+  std::vector<T> v(n);
+  for (std::size_t i = 0; i < n; ++i)
+    v[i] = static_cast<T>(std::sin(i * 0.003 + phase) * 40.0 + i * 1e-3);
+  const u8* p = reinterpret_cast<const u8*>(v.data());
+  return Bytes(p, p + n * sizeof(T));
+}
+
+}  // namespace
+
+TEST(IngestPipeline, ByteIdenticalToOneShotForEveryWorkerCount) {
+  // f32 and f64 x ABS, REL and NOA x 1, 2 and 8 workers; every field ends in
+  // a tail that is not a whole chunk.
+  for (DType dtype : {DType::F32, DType::F64}) {
+    const std::size_t n = pfpl::chunk_values(dtype) * 3 + 17;
+    std::vector<Bytes> raws;
+    for (int i = 0; i < 3; ++i)
+      raws.push_back(dtype == DType::F32 ? wave_bytes<float>(n, i) : wave_bytes<double>(n, i));
+    for (EbType eb : {EbType::ABS, EbType::REL, EbType::NOA}) {
+      const pfpl::Params params{eb == EbType::REL ? 1e-2 : 1e-4, eb};
+      std::vector<Bytes> oneshot;
+      for (const Bytes& raw : raws)
+        oneshot.push_back(pfpl::compress(raw_field(raw.data(), raw.size(), dtype), params));
+      for (unsigned threads : {1u, 2u, 8u}) {
+        ingest::IngestPipeline::Options o;
+        o.dtype = dtype;
+        o.params = params;
+        o.threads = threads;
+        ingest::IngestPipeline pipe(o);
+        std::vector<ingest::Item> items;
+        for (std::size_t i = 0; i < raws.size(); ++i)
+          items.push_back(ingest::Item{"f" + std::to_string(i), "", raws[i]});
+        const std::vector<ingest::Result> rs = pipe.run(std::move(items));
+        ASSERT_EQ(rs.size(), raws.size());
+        for (std::size_t i = 0; i < rs.size(); ++i) {
+          ASSERT_FALSE(rs[i].failed) << rs[i].error;
+          EXPECT_EQ(rs[i].stream, oneshot[i])
+              << to_string(dtype) << " " << to_string(eb) << " item " << i
+              << " differs at threads=" << threads;
+        }
+        EXPECT_EQ(pipe.stats().chunks, 3u * 4u);
+      }
+    }
+  }
+}
+
+TEST(IngestPipeline, InvalidBoundFailsEveryItemAndRunReturns) {
+  ingest::IngestPipeline::Options o = base_options();
+  o.params.eps = -1.0;  // invalid ABS bound: planning throws for every item
+  ingest::IngestPipeline pipe(o);
+  const std::vector<ingest::Result> rs = pipe.run(memory_items(3, 5000));
+  ASSERT_EQ(rs.size(), 3u);
+  for (const ingest::Result& r : rs) {
+    EXPECT_TRUE(r.failed);
+    EXPECT_FALSE(r.cancelled);
+    EXPECT_FALSE(r.error.empty());
+    EXPECT_TRUE(r.stream.empty());
+  }
+  EXPECT_EQ(pipe.stats().files_failed, 3u);
+  EXPECT_EQ(pipe.stats().chunks, 0u);
+}
+
+TEST(IngestPipeline, MisalignedRawFailsThatItemOnly) {
+  // 10 bytes is not a whole number of f32 values: the item fails with a
+  // message naming the size and dtype instead of being truncated to 8 bytes.
+  std::vector<ingest::Item> items = memory_items(3, 2000);
+  items[1].raw.resize(10);
+  ingest::IngestPipeline pipe(base_options());
+  const std::vector<ingest::Result> rs = pipe.run(std::move(items));
+  ASSERT_EQ(rs.size(), 3u);
+  EXPECT_TRUE(rs[1].failed);
+  EXPECT_NE(rs[1].error.find("10 bytes"), std::string::npos) << rs[1].error;
+  EXPECT_NE(rs[1].error.find("f32"), std::string::npos) << rs[1].error;
+  EXPECT_TRUE(rs[1].stream.empty());
+  for (std::size_t i : {0u, 2u}) {
+    EXPECT_FALSE(rs[i].failed) << rs[i].error;
+    EXPECT_EQ(rs[i].stream, serial_stream(2000, unsigned(i)));
+  }
+  EXPECT_EQ(pipe.stats().files_failed, 1u);
 }
 
 TEST(IngestPipeline, FileItemsMatchMemoryItems) {
@@ -215,17 +302,16 @@ TEST(IngestPipeline, AppendBatchingGroupsItems) {
 // ------------------------------------------------------------- backpressure
 
 TEST(IngestPipeline, ByteBudgetHoldsUnderSlowConsumer) {
-  // Append stage stalled 3ms/item via the test hook; reader would otherwise
-  // race ahead and buffer the whole input set.
-  ::setenv("PFPL_INGEST_TEST_SLOW_STAGE_US", "3000", 1);
+  // Append stage stalled 3ms/item; the reader would otherwise race ahead
+  // and buffer the whole input set.
   ingest::IngestPipeline::Options o = base_options();
+  o.stage_cost_us[3] = 3000;
   const std::size_t kValues = 8192;                   // 32 KiB raw per item
   const std::size_t item_bytes = kValues * sizeof(float);
   o.queue_items = 64;                                 // items bound never trips
   o.queue_bytes = 3 * item_bytes;                     // bytes bound does
   ingest::IngestPipeline pipe(o);
   std::vector<ingest::Result> rs = pipe.run(memory_items(10, kValues));
-  ::unsetenv("PFPL_INGEST_TEST_SLOW_STAGE_US");
   for (const ingest::Result& r : rs) ASSERT_FALSE(r.failed) << r.error;
   const ingest::IngestStats& st = pipe.stats();
   EXPECT_GT(st.peak_queue_bytes, 0u);
@@ -292,16 +378,15 @@ TEST(IngestPipeline, FailFastCancelsUpstreamWithoutDeadlock) {
   // Item 0 fails in the read stage immediately; with fail_fast every later
   // item must come back `cancelled`, the failing item must keep its real
   // error, and run() must return (no stage may deadlock on a cancelled
-  // queue). The slow-append hook widens the window where items would be
+  // queue). The slow append stage widens the window where items would be
   // in-flight if cancellation failed to drop them.
-  ::setenv("PFPL_INGEST_TEST_SLOW_STAGE_US", "2000", 1);
   std::vector<ingest::Item> items = memory_items(6, 2000);
   items[0] = ingest::Item{"missing", "/nonexistent/pfpl-test-input.raw", {}};
   ingest::IngestPipeline::Options o = base_options();
   o.fail_fast = true;
+  o.stage_cost_us[3] = 2000;
   ingest::IngestPipeline pipe(o);
   std::vector<ingest::Result> rs = pipe.run(std::move(items));
-  ::unsetenv("PFPL_INGEST_TEST_SLOW_STAGE_US");
   ASSERT_EQ(rs.size(), 6u);
   EXPECT_TRUE(rs[0].failed);
   EXPECT_FALSE(rs[0].cancelled);

@@ -421,6 +421,47 @@ TEST_F(CliTest, PackListUnpackRoundTrip) {
   fs::remove_all(outdir2);
 }
 
+TEST_F(CliTest, MisalignedRawInputIsRejected) {
+  // 10 bytes is two and a half f32 values: every raw-input path must refuse
+  // it (exit 1, naming the size and dtype) instead of packing 8 bytes.
+  const std::string odd = tmp_path("cli_odd.raw");
+  const std::string err = tmp_path("cli_odd.err");
+  const std::string pfpa = tmp_path("cli_odd.pfpa");
+  const std::string store_dir = tmp_path("cli_odd_store");
+  const u8 bytes[10] = {0, 0, 128, 63, 0, 0, 0, 64, 1, 2};
+  io::write_file(odd, bytes, sizeof(bytes));
+  auto run_err = [&](const std::string& cmd) {
+    const int status = std::system((cmd + " >/dev/null 2>" + err).c_str());
+    EXPECT_TRUE(WIFEXITED(status)) << cmd;
+    const Bytes msg = io::read_file(err);
+    const std::string text(msg.begin(), msg.end());
+    EXPECT_NE(text.find("10 bytes"), std::string::npos) << cmd << ": " << text;
+    EXPECT_NE(text.find("f32"), std::string::npos) << cmd << ": " << text;
+    return WEXITSTATUS(status);
+  };
+  EXPECT_EQ(run_err(cli + " c " + odd + " " + comp + " --dtype f32 --eps 1e-3"), 1);
+  EXPECT_FALSE(fs::exists(comp));
+  EXPECT_EQ(run_err(cli + " pack " + pfpa + " " + odd + " --dtype f32 --eps 1e-3"), 1);
+  EXPECT_EQ(run_err(cli + " store put " + odd + " --store " + store_dir +
+                    " --dtype f32 --eps 1e-3"),
+            1);
+
+  // verify refuses a misaligned original, and one whose value count differs
+  // from the stream's, rather than comparing the common prefix.
+  ASSERT_EQ(run(cli + " c " + in + " " + comp + " --dtype f32 --eps 1e-3"), 0);
+  EXPECT_EQ(run_err(cli + " verify " + odd + " " + comp), 1);
+  const std::string shorter = tmp_path("cli_shorter.raw");
+  io::write_file(shorter, values.data(), (values.size() - 1) * 4);
+  EXPECT_EQ(WEXITSTATUS(run(cli + " verify " + shorter + " " + comp)), 1);
+  EXPECT_EQ(run(cli + " verify " + in + " " + comp), 0);
+
+  fs::remove(odd);
+  fs::remove(err);
+  fs::remove(pfpa);
+  fs::remove(shorter);
+  fs::remove_all(store_dir);
+}
+
 // ------------------------------------------------- pfpl top rate windows ---
 
 #include "cli/top_window.hpp"

@@ -24,7 +24,6 @@
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
-#include "svc/stats.hpp"
 #include "svc/thread_pool.hpp"
 
 using namespace repro;
@@ -324,25 +323,6 @@ TEST(ObsReport, FoldsMetricsSpansAndSections) {
   EXPECT_DOUBLE_EQ(v.at("sections").at("custom").at("answer").num, 42);
   report.clear();
   rec.clear();
-}
-
-TEST(ObsReport, SvcStatsJsonAndSummary) {
-  svc::SvcStats st;
-  st.jobs = 3;
-  st.jobs_failed = 1;
-  st.chunks = 10;
-  st.bytes_in = 1000;
-  st.bytes_out = 400;
-  st.threads = 2;
-  st.wall_ms = 5;
-  // The two-step format keeps the failed part intact (the old one-expression
-  // form depended on a temporary's lifetime).
-  std::string s = st.summary();
-  EXPECT_NE(s.find("jobs=3 failed=1"), std::string::npos) << s;
-  obs::JsonValue v = obs::parse_json(st.json());
-  EXPECT_DOUBLE_EQ(v.at("jobs").num, 3);
-  EXPECT_DOUBLE_EQ(v.at("jobs_failed").num, 1);
-  EXPECT_DOUBLE_EQ(v.at("ratio").num, 2.5);
 }
 
 // ----------------------------------------------------- timer satellite -----

@@ -22,7 +22,6 @@
 #include "store/cache.hpp"
 #include "store/segment_log.hpp"
 #include "store/store.hpp"
-#include "svc/batch.hpp"
 
 using namespace repro;
 namespace fs = std::filesystem;
@@ -408,45 +407,6 @@ TEST(ChunkStore, StatsJsonShape) {
   EXPECT_NE(js.find("\"cache\""), std::string::npos);
   EXPECT_NE(js.find("\"hits\""), std::string::npos);
   EXPECT_NE(js.find("\"persistent\":false"), std::string::npos);
-}
-
-// ------------------------------------------------- BatchCompressor + store
-
-TEST(BatchStoreReuse, SecondRunServedFromStore) {
-  store::ChunkStore cs(store::ChunkStore::Options{});
-  svc::BatchCompressor::Options o;
-  o.threads = 2;
-  o.store = &cs;
-  svc::BatchCompressor batch(o);
-
-  const std::vector<float> values = make_field_values(20000, 1);
-  pfpl::Params params;
-  params.eps = 1e-3;
-  std::vector<svc::Job> jobs;
-  jobs.push_back({"a", Field(values.data(), values.size()), params});
-  jobs.push_back({"b", Field(values.data(), values.size()), params});
-
-  // First run: job "a" compresses; job "b" has identical content, so by the
-  // time phase 3 stores "a", "b" was already planned — both compress this
-  // run, but the second *run* must be answered entirely from the store.
-  const std::vector<svc::JobResult> first = batch.run(jobs);
-  ASSERT_EQ(first.size(), 2u);
-  ASSERT_FALSE(first[0].failed);
-  ASSERT_FALSE(first[1].failed);
-  EXPECT_EQ(first[0].stream, first[1].stream);
-
-  const std::vector<svc::JobResult> second = batch.run(jobs);
-  ASSERT_FALSE(second[0].failed);
-  ASSERT_FALSE(second[1].failed);
-  EXPECT_TRUE(second[0].reused);
-  EXPECT_TRUE(second[1].reused);
-  EXPECT_EQ(batch.stats().jobs_reused, 2u);
-  EXPECT_EQ(second[0].stream, first[0].stream);
-  EXPECT_EQ(second[1].stream, first[1].stream);
-
-  // Reused results decompress to the same values as fresh ones.
-  const std::vector<u8> raw = pfpl::decompress(second[0].stream);
-  EXPECT_EQ(raw.size(), values.size() * sizeof(float));
 }
 
 // ------------------------------------------------------------ append_batch

@@ -1,10 +1,12 @@
-// Tests for the svc batch-compression service: the work-stealing thread
-// pool, the determinism invariant of BatchCompressor (entry bytes identical
-// to single-threaded pfpl::compress for every worker count), and the PFPA
-// archive container (round-trip, random access, corruption rejection).
+// Tests for the svc layer: the work-stealing thread pool and its for_each
+// chunk runner, the chunk primitives pfpl::compress is built from, and the
+// PFPA archive container (round-trip, random access, corruption rejection).
+// Byte-identity of pool-driven compression for every worker count is pinned
+// in tests/test_ingest.cpp, where the pool drives the codec's chunk loop.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <filesystem>
 #include <numeric>
@@ -16,9 +18,7 @@
 #include "data/rng.hpp"
 #include "io/raw_file.hpp"
 #include "svc/archive.hpp"
-#include "svc/batch.hpp"
 #include "common/checksum.hpp"
-#include "svc/stats.hpp"
 #include "svc/thread_pool.hpp"
 
 using namespace repro;
@@ -73,6 +73,8 @@ TEST(ThreadPool, ExecutesEveryTaskExactlyOnce) {
     futs.push_back(pool.submit([i, &sum] { sum.fetch_add(i); }));
   for (auto& f : futs) f.get();
   EXPECT_EQ(sum.load(), 500 * 501 / 2);
+  // A future is ready before its worker counts the task as executed.
+  pool.wait_idle();
   auto c = pool.counters();
   EXPECT_EQ(c.submitted, 500u);
   EXPECT_EQ(c.executed, 500u);
@@ -113,74 +115,83 @@ TEST(ThreadPool, TaskExceptionsPropagateThroughFuture) {
 }
 
 // ---------------------------------------------------------------------------
-// BatchCompressor determinism
+// ThreadPool::for_each — the pool's chunk runner
 // ---------------------------------------------------------------------------
 
-TEST(BatchCompressor, ByteIdenticalToOneShotForEveryWorkerCount) {
-  auto f32 = wave_f32(50000, 1);
-  auto f64 = wave_f64(30000, 2);
-  auto noisy = wave_f32(4096 * 3 + 17, 3);  // non-multiple of the chunk size
-
-  std::vector<svc::Job> jobs = {
-      {"a", Field(f32.data(), f32.size()), {1e-3, EbType::ABS}},
-      {"b", Field(f64.data(), f64.size()), {1e-2, EbType::REL}},
-      {"c", Field(noisy.data(), noisy.size()), {1e-4, EbType::NOA}},
-  };
-  std::vector<Bytes> oneshot;
-  for (const auto& j : jobs) oneshot.push_back(pfpl::compress(j.field, j.params));
-
-  for (unsigned threads : {1u, 2u, 8u}) {
-    svc::BatchCompressor batch({.threads = threads});
-    auto results = batch.run(jobs);
-    ASSERT_EQ(results.size(), jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      ASSERT_FALSE(results[i].failed) << results[i].error;
-      EXPECT_EQ(results[i].stream, oneshot[i])
-          << "job " << jobs[i].name << " differs at threads=" << threads;
-    }
+TEST(ThreadPoolForEach, EveryIndexRunsExactlyOnce) {
+  svc::ThreadPool pool(4);
+  // n = 0, n < workers, n == workers, n >> workers.
+  for (std::size_t n : {0u, 1u, 3u, 4u, 5000u}) {
+    std::vector<std::atomic<int>> hits(n);
+    pool.for_each(n, [&](std::size_t i) { hits[i].fetch_add(1); });
+    for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(hits[i].load(), 1) << "n=" << n << " i=" << i;
   }
 }
 
-TEST(BatchCompressor, TinyInflightBudgetStillDeterministic) {
-  // A budget smaller than one chunk admits chunks one at a time (the
-  // oversized-acquisition escape hatch); bytes must still be identical.
-  auto v = wave_f32(4096 * 8, 4);
-  std::vector<svc::Job> jobs = {{"x", Field(v.data(), v.size()), {1e-3, EbType::ABS}}};
-  svc::BatchCompressor batch({.threads = 4, .max_inflight_bytes = 1024});
-  auto results = batch.run(jobs);
-  ASSERT_FALSE(results[0].failed);
-  EXPECT_EQ(results[0].stream, pfpl::compress(jobs[0].field, jobs[0].params));
+TEST(ThreadPoolForEach, SubmitsAtMostOneTaskPerWorker) {
+  svc::ThreadPool pool(3);
+  pool.for_each(1000, [](std::size_t) {});
+  pool.wait_idle();
+  EXPECT_EQ(pool.counters().submitted, 3u);
+  pool.for_each(2, [](std::size_t) {});
+  pool.wait_idle();
+  EXPECT_EQ(pool.counters().submitted, 5u);  // n < workers: n tasks
 }
 
-TEST(BatchCompressor, InvalidBoundFailsJobNotBatch) {
-  auto v = wave_f32(10000, 5);
-  std::vector<svc::Job> jobs = {
-      {"bad", Field(v.data(), v.size()), {-1.0, EbType::ABS}},
-      {"good", Field(v.data(), v.size()), {1e-3, EbType::ABS}},
-  };
-  svc::BatchCompressor batch({.threads = 2});
-  auto results = batch.run(jobs);
-  EXPECT_TRUE(results[0].failed);
-  EXPECT_FALSE(results[0].error.empty());
-  ASSERT_FALSE(results[1].failed);
-  EXPECT_EQ(results[1].stream, pfpl::compress(jobs[1].field, jobs[1].params));
-  EXPECT_EQ(batch.stats().jobs_failed, 1u);
+TEST(ThreadPoolForEach, FirstExceptionRethrownAfterEveryTaskFinished) {
+  svc::ThreadPool pool(4);
+  std::atomic<int> running{0};
+  std::atomic<int> finished{0};
+  bool threw = false;
+  try {
+    pool.for_each(64, [&](std::size_t i) {
+      running.fetch_add(1);
+      if (i == 0) {
+        running.fetch_sub(1);
+        throw CompressionError("chunk 0");
+      }
+      // Slow bodies keep other workers busy past the throw.
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      running.fetch_sub(1);
+      finished.fetch_add(1);
+    });
+  } catch (const CompressionError& e) {
+    threw = true;
+    EXPECT_STREQ(e.what(), "chunk 0");
+    // No body may still be running once the exception reaches the caller.
+    EXPECT_EQ(running.load(), 0);
+  }
+  EXPECT_TRUE(threw);
+  const int done = finished.load();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(finished.load(), done);  // nothing ran after for_each returned
+  // The pool is still usable afterwards.
+  std::atomic<int> sum{0};
+  pool.for_each(10, [&](std::size_t i) { sum.fetch_add(static_cast<int>(i)); });
+  EXPECT_EQ(sum.load(), 45);
 }
 
-TEST(BatchCompressor, StatsAreFilled) {
-  auto v = wave_f32(4096 * 4, 6);
-  std::vector<svc::Job> jobs = {{"s", Field(v.data(), v.size()), {1e-3, EbType::ABS}}};
-  svc::BatchCompressor batch({.threads = 2});
-  auto results = batch.run(jobs);
-  ASSERT_FALSE(results[0].failed);
-  const svc::SvcStats& st = batch.stats();
-  EXPECT_EQ(st.jobs, 1u);
-  EXPECT_EQ(st.chunks, 4u);
-  EXPECT_EQ(st.bytes_in, v.size() * 4);
-  EXPECT_EQ(st.bytes_out, results[0].stream.size());
-  EXPECT_EQ(st.threads, 2u);
-  EXPECT_GT(st.ratio(), 1.0);
-  EXPECT_FALSE(st.summary().empty());
+TEST(ThreadPoolForEach, AfterShutdownThrows) {
+  svc::ThreadPool pool(2);
+  pool.shutdown();
+  EXPECT_THROW(pool.for_each(8, [](std::size_t) {}), CompressionError);
+  EXPECT_NO_THROW(pool.for_each(0, [](std::size_t) {}));
+}
+
+TEST(ThreadPoolForEach, DrivesCompressByteIdentically) {
+  auto v = wave_f32(4096 * 5 + 31, 3);
+  const Field field(v.data(), v.size());
+  const pfpl::Params p{1e-3, EbType::ABS};
+  svc::ThreadPool pool(3);
+  const Bytes pooled = pfpl::compress(
+      field, p, [&](std::size_t n, const pfpl::ChunkBody& body) { pool.for_each(n, body); });
+  EXPECT_EQ(pooled, pfpl::compress(field, p));
+  // A bound that fails planning throws before any chunk is scheduled.
+  EXPECT_THROW(pfpl::compress(field, {-1.0, EbType::ABS},
+                              [&](std::size_t n, const pfpl::ChunkBody& body) {
+                                pool.for_each(n, body);
+                              }),
+               CompressionError);
 }
 
 // ---------------------------------------------------------------------------
@@ -216,23 +227,28 @@ class ArchiveTest : public ::testing::Test {
     path = tmp_path(tag + "_archive.pfpa");
     f32 = wave_f32(20000, 11);
     f64 = wave_f64(9000, 12);
-    jobs = {
-        {"temp.f32", Field(f32.data(), f32.size()), {1e-3, EbType::ABS}},
-        {"pres.f64", Field(f64.data(), f64.size()), {1e-2, EbType::REL}},
-    };
-    svc::BatchCompressor batch({.threads = 2});
-    results = batch.run(jobs);
+    const Field fields[] = {Field(f32.data(), f32.size()), Field(f64.data(), f64.size())};
+    const pfpl::Params params[] = {{1e-3, EbType::ABS}, {1e-2, EbType::REL}};
+    const char* names[] = {"temp.f32", "pres.f64"};
     svc::ArchiveWriter writer(path);
-    for (const auto& r : results) writer.add(r.name, r.header, r.stream, r.raw_bytes);
+    for (std::size_t i = 0; i < 2; ++i) {
+      Entry e{names[i], pfpl::compress(fields[i], params[i]), fields[i].byte_size()};
+      writer.add(e.name, pfpl::peek_header(e.stream), e.stream, e.raw_bytes);
+      results.push_back(std::move(e));
+    }
     writer.finish();
   }
   void TearDown() override { fs::remove(path); }
 
+  struct Entry {
+    std::string name;
+    Bytes stream;
+    u64 raw_bytes = 0;
+  };
   std::string path;
   std::vector<float> f32;
   std::vector<double> f64;
-  std::vector<svc::Job> jobs;
-  std::vector<svc::JobResult> results;
+  std::vector<Entry> results;
 };
 
 TEST_F(ArchiveTest, RoundTrip) {
