@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "bits/bitshuffle.hpp"
+#include "bits/simd.hpp"
 #include "bits/delta.hpp"
 #include "bits/zerobyte.hpp"
 #include "core/pfpl.hpp"
@@ -58,6 +59,7 @@ std::vector<u32> quantized_words(std::size_t n) {
 }
 
 constexpr std::size_t kN = 1 << 20;  // 4 MB of f32
+constexpr std::size_t kSweepValues = 4 << 20;  // 16 MiB of f32 per kernel-sweep rep
 
 void BM_QuantizeAbs(benchmark::State& state) {
   auto v = smooth_input(kN);
@@ -177,7 +179,11 @@ int kernel_sweep_main(int argc, char** argv) {
   obs::set_enabled(true);  // kernel timers are obs-gated
   const int runs = std::max(3, cfg.runs);
   const double eps = 1e-3;
-  const std::size_t n = std::max<std::size_t>(cfg.target_values, 1 << 16);
+  // At least 16 MiB through every kernel per rep: a few chunks time a few
+  // microseconds per kernel call and vary by up to 3x run to run.
+  const std::size_t n = std::max<std::size_t>(cfg.target_values, kSweepValues);
+  std::fprintf(stderr, "kernel tier: %s, %zu f32 values (%.1f MiB) per rep\n",
+               bits::tier_name(bits::simd_tier()), n, n * 4.0 / (1 << 20));
 
   auto v = smooth_input(n);
   Field field(v.data(), v.size());

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
 
 #include "baselines/sz_common.hpp"
 #include "bits/negabinary.hpp"
@@ -37,12 +38,19 @@ void fwd_lift(I* p, std::size_t s) {
 
 template <typename I>
 void inv_lift(I* p, std::size_t s) {
+  // Wraparound arithmetic (the two's-complement result of the reference
+  // code): a corrupt stream can feed any coefficients, and signed overflow
+  // would be undefined.
+  using U = std::make_unsigned_t<I>;
+  auto add = [](I a, I b) { return static_cast<I>(static_cast<U>(a) + static_cast<U>(b)); };
+  auto sub = [](I a, I b) { return static_cast<I>(static_cast<U>(a) - static_cast<U>(b)); };
+  auto dbl = [](I a) { return static_cast<I>(static_cast<U>(a) << 1); };
   I x = p[0 * s], y = p[1 * s], z = p[2 * s], w = p[3 * s];
-  y += w >> 1; w -= y >> 1;
-  y += w; w <<= 1; w -= y;
-  z += x; x <<= 1; x -= z;
-  y += z; z <<= 1; z -= y;
-  w += x; x <<= 1; x -= w;
+  y = add(y, w >> 1); w = sub(w, y >> 1);
+  y = add(y, w); w = dbl(w); w = sub(w, y);
+  z = add(z, x); x = dbl(x); x = sub(x, z);
+  y = add(y, z); z = dbl(z); z = sub(z, y);
+  w = add(w, x); x = dbl(x); x = sub(x, w);
   p[0 * s] = x; p[1 * s] = y; p[2 * s] = z; p[3 * s] = w;
 }
 

@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "bits/simd.hpp"
+
 namespace repro::bits {
 
 void transpose_bits_32(u32* a) {
@@ -26,6 +28,8 @@ void transpose_bits_64(u64* a) {
   }
 }
 
+namespace scalar {
+
 void bitshuffle(u32* w, std::size_t n) {
   assert(n % 32 == 0);
   for (std::size_t i = 0; i < n; i += 32) transpose_bits_32(w + i);
@@ -34,6 +38,18 @@ void bitshuffle(u32* w, std::size_t n) {
 void bitshuffle(u64* w, std::size_t n) {
   assert(n % 64 == 0);
   for (std::size_t i = 0; i < n; i += 64) transpose_bits_64(w + i);
+}
+
+}  // namespace scalar
+
+void bitshuffle(u32* w, std::size_t n) {
+  if (simd_tier() == Tier::Avx512) return avx512::bitshuffle(w, n);
+  scalar::bitshuffle(w, n);
+}
+
+void bitshuffle(u64* w, std::size_t n) {
+  if (simd_tier() == Tier::Avx512) return avx512::bitshuffle(w, n);
+  scalar::bitshuffle(w, n);
 }
 
 }  // namespace repro::bits

@@ -25,8 +25,19 @@ void transpose_bits_64(u64* a);
 
 /// Tile-wise bit shuffle over `n` words; `n` must be a multiple of the tile
 /// size (32 for u32, 64 for u64). Self-inverse, so the same call performs
-/// the unshuffle.
+/// the unshuffle. Runs on the active kernel tier (bits/simd.hpp).
 void bitshuffle(u32* w, std::size_t n);
 void bitshuffle(u64* w, std::size_t n);
+
+/// The tiers behind bitshuffle(), callable directly for differential tests.
+/// The avx512 ones may run only when simd_tier() == Tier::Avx512.
+namespace scalar {
+void bitshuffle(u32* w, std::size_t n);
+void bitshuffle(u64* w, std::size_t n);
+}  // namespace scalar
+namespace avx512 {
+void bitshuffle(u32* w, std::size_t n);
+void bitshuffle(u64* w, std::size_t n);
+}  // namespace avx512
 
 }  // namespace repro::bits

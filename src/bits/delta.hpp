@@ -25,14 +25,32 @@ inline void delta_negabinary_encode(U* w, std::size_t n) {
   }
 }
 
-/// In-place inverse: negabinary decode + prefix-sum reconstruction.
+/// Forward delta + negabinary of `n` words from `in` to a distinct `out`.
+/// Each word depends only on its input and its predecessor, so the loop
+/// vectorizes.
 template <typename U>
-inline void delta_negabinary_decode(U* w, std::size_t n) {
+inline void delta_negabinary_encode(const U* in, U* out, std::size_t n) {
+  if (n == 0) return;
+  out[0] = to_negabinary<U>(in[0]);
+  for (std::size_t i = 1; i < n; ++i) out[i] = to_negabinary<U>(static_cast<U>(in[i] - in[i - 1]));
+}
+
+/// Inverse, `in` to `out` (which may be the same buffer): negabinary decode
+/// + prefix-sum reconstruction. Causal, so decoding a prefix of the words
+/// yields that prefix of the values.
+template <typename U>
+inline void delta_negabinary_decode(const U* in, U* out, std::size_t n) {
   U prev = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    prev = static_cast<U>(prev + from_negabinary<U>(w[i]));
-    w[i] = prev;
+    prev = static_cast<U>(prev + from_negabinary<U>(in[i]));
+    out[i] = prev;
   }
+}
+
+/// In-place inverse.
+template <typename U>
+inline void delta_negabinary_decode(U* w, std::size_t n) {
+  delta_negabinary_decode(w, w, n);
 }
 
 }  // namespace repro::bits

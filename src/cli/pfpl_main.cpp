@@ -1464,9 +1464,12 @@ int cmd_profile(const std::vector<std::string>& positional, const Flags& fl) {
 
     const u64 chunk_us =
         obs::MetricsRegistry::global().histogram("core.encode_chunk_us").sum();
-    u64 attributed_us = 0;
+    // Kernel time from the ns counters: a kernel call lasts a few µs, so its
+    // floored _us histogram would drop up to half of it.
+    u64 attributed_ns = 0;
     for (const obs::KernelStat& k : obs::kernel_stats())
-      if (k.encode) attributed_us += k.us;
+      if (k.encode) attributed_ns += k.ns;
+    const u64 attributed_us = attributed_ns / 1000;
     last_report = obs::kernel_report_json();
 
     if (!fl.json) {

@@ -108,22 +108,21 @@ double finite_range(const T* d, std::size_t n) {
 /// The quantizer is fused into the chunk loop exactly as in the paper
 /// ("the most important optimization is fusing all four stages ... including
 /// the quantizer"): the input slice is read once, everything else happens in
-/// chunk-local buffers.
+/// the thread's chunk scratch, and the only allocation is the payload.
 template <typename T, typename Q>
 u32 encode_one_chunk(const T* data, std::size_t beg, std::size_t k, const Q& q,
                      Executor exec, std::vector<u8>& payload) {
   OBS_SPAN("pfpl.encode_chunk");
   const u64 t0 = obs::enabled() ? obs::TraceRecorder::global().now_ns() : 0;
   using Bits = typename fpmath::FloatTraits<T>::Bits;
-  std::vector<Bits> words(k);
+  Bits* words = chunk_scratch<Bits>().words;
   {
     OBS_SPAN("pfpl.quantize");
     obs::KernelTimer kt(obs::Kernel::Quantize, k * sizeof(T));
-    for (std::size_t i = 0; i < k; ++i) words[i] = q.encode(data[beg + i]);
+    q.encode_block(data + beg, words, k);
   }
-  bool compressed = exec == Executor::GpuSim
-                        ? sim::gpu_chunk_encode(words.data(), k, payload)
-                        : chunk_encode(words.data(), k, payload);
+  bool compressed = exec == Executor::GpuSim ? sim::gpu_chunk_encode(words, k, payload)
+                                             : chunk_encode(words, k, payload);
   u32 sz = static_cast<u32>(payload.size());
   if (obs::enabled()) {
     CoreMetrics& m = CoreMetrics::get();
@@ -188,15 +187,15 @@ std::vector<u8> decompress_typed(const Bytes& in, const Header& h, const Q& q,
     std::size_t csize = sizes[c] & ~kRawChunkFlag;
     if (off + csize > in.size()) throw CompressionError("PFPL stream: truncated chunk");
     bool compressed = (sizes[c] & kRawChunkFlag) == 0;
-    std::vector<Bits> words(k);
+    Bits* words = chunk_scratch<Bits>().words;
     if (exec == Executor::GpuSim)
-      sim::gpu_chunk_decode(in.data() + off, csize, compressed, words.data(), k);
+      sim::gpu_chunk_decode(in.data() + off, csize, compressed, words, k);
     else
-      chunk_decode(in.data() + off, csize, compressed, words.data(), k);
+      chunk_decode(in.data() + off, csize, compressed, words, k);
     {
       OBS_SPAN("pfpl.dequantize");
       obs::KernelTimer kt(obs::Kernel::Dequantize, k * sizeof(T));
-      for (std::size_t i = 0; i < k; ++i) values[beg + i] = q.decode(words[i]);
+      q.decode_block(words, values + beg, k);
     }
     CoreMetrics::get().chunks_decoded.add(1);
   };

@@ -137,7 +137,8 @@ class StreamDecoderImpl {
     if (stream.size() < table_off_ + header_.chunk_count * 4)
       throw CompressionError("PFPL stream: truncated chunk table");
     sizes_.resize(header_.chunk_count);
-    std::memcpy(sizes_.data(), stream.data() + table_off_, header_.chunk_count * 4);
+    if (header_.chunk_count != 0)  // an empty vector's data() may be null
+      std::memcpy(sizes_.data(), stream.data() + table_off_, header_.chunk_count * 4);
     payload_off_ = table_off_ + header_.chunk_count * 4;
     if (header_.dtype == DType::F32)
       state_.emplace<TypedState<float>>(header_);

@@ -10,6 +10,7 @@ namespace {
 
 struct KernelHandles {
   Counter* bytes[kKernelCount];
+  Counter* ns[kKernelCount];
   Histogram* us[kKernelCount];
 };
 
@@ -27,6 +28,7 @@ KernelHandles& handles() {
     for (int i = 0; i < kKernelCount; ++i) {
       const std::string stem = std::string("kernel.") + kNames[i];
       out.bytes[i] = &reg.counter(stem + ".bytes");
+      out.ns[i] = &reg.counter(stem + ".ns");
       out.us[i] = &reg.histogram(stem + "_us");
     }
     return out;
@@ -40,12 +42,13 @@ const char* kernel_name(Kernel k) { return kNames[static_cast<int>(k)]; }
 
 bool kernel_is_encode(Kernel k) { return static_cast<int>(k) < 4; }
 
-void record_kernel(Kernel k, u64 bytes, u64 us) {
+void record_kernel(Kernel k, u64 bytes, u64 ns) {
   if (!enabled()) return;
   KernelHandles& h = handles();
   const int i = static_cast<int>(k);
   h.bytes[i]->add(bytes);
-  h.us[i]->record(us);
+  h.ns[i]->add(ns);
+  h.us[i]->record(ns / 1000);
 }
 
 std::vector<KernelStat> kernel_stats() {
@@ -59,7 +62,8 @@ std::vector<KernelStat> kernel_stats() {
     s.calls = h.us[i]->count();
     s.bytes = h.bytes[i]->value();
     s.us = h.us[i]->sum();
-    if (s.us > 0) s.mbps = static_cast<double>(s.bytes) / static_cast<double>(s.us);
+    s.ns = h.ns[i]->value();
+    if (s.ns > 0) s.mbps = static_cast<double>(s.bytes) * 1e3 / static_cast<double>(s.ns);
     out.push_back(s);
   }
   return out;
@@ -77,6 +81,7 @@ std::string kernel_report_json() {
       w.kv("calls", static_cast<unsigned long long>(s.calls));
       w.kv("bytes", static_cast<unsigned long long>(s.bytes));
       w.kv("us", static_cast<unsigned long long>(s.us));
+      w.kv("ns", static_cast<unsigned long long>(s.ns));
       w.kv("MBps", s.mbps);
       w.end_object();
     }
@@ -100,7 +105,7 @@ std::string kernel_table_text() {
     if (s.calls == 0) continue;
     std::snprintf(line, sizeof line, "%-16s %-6s %10llu %12.2f %12.3f %10.1f\n", s.name,
                   s.encode ? "enc" : "dec", static_cast<unsigned long long>(s.calls),
-                  static_cast<double>(s.bytes) / 1e6, static_cast<double>(s.us) / 1e3,
+                  static_cast<double>(s.bytes) / 1e6, static_cast<double>(s.ns) / 1e6,
                   s.mbps);
     out += line;
   }

@@ -10,11 +10,14 @@
 // unit attributes bytes and time per kernel:
 //
 //   kernel.<name>.bytes   counter    logical chunk bytes through the kernel
+//   kernel.<name>.ns      counter    summed kernel time in nanoseconds
 //   kernel.<name>_us      histogram  per-chunk kernel latency (count = calls)
 //
-// from which MB/s derives as bytes / sum(us). Per-chunk durations are floored
-// to whole microseconds (same convention as core.encode_chunk_us), so the sum
-// of kernel times can never exceed the enclosing chunk time.
+// MB/s derives as bytes / ns. A 16 KiB kernel call takes 1-5 us on the
+// vector tier, so the histogram's per-call floor to whole microseconds (the
+// core.encode_chunk_us convention) would misattribute by up to 100%; the ns
+// counter keeps the full resolution. The floored histogram sum still can
+// never exceed the enclosing chunk time.
 //
 // KernelTimer is the RAII recording point: when observability is disabled it
 // is a relaxed load + branch — no clock read, nothing recorded (the PR 2
@@ -51,13 +54,12 @@ const char* kernel_name(Kernel k);
 /// True for the four encode-path kernels.
 bool kernel_is_encode(Kernel k);
 
-/// Record one kernel invocation: `bytes` processed in `us` microseconds.
+/// Record one kernel invocation: `bytes` processed in `ns` nanoseconds.
 /// Gated on obs::enabled() like every registry update.
-void record_kernel(Kernel k, u64 bytes, u64 us);
+void record_kernel(Kernel k, u64 bytes, u64 ns);
 
 /// RAII kernel timer: captures the clock only when observability is enabled
-/// at construction; the destructor floors the elapsed time to microseconds
-/// and records bytes + latency.
+/// at construction; the destructor records bytes + elapsed nanoseconds.
 class KernelTimer {
  public:
   KernelTimer(Kernel k, std::size_t bytes) {
@@ -69,10 +71,10 @@ class KernelTimer {
   }
   ~KernelTimer() {
     if (!armed_) return;
-    const u64 us = static_cast<u64>(std::chrono::duration_cast<std::chrono::microseconds>(
+    const u64 ns = static_cast<u64>(std::chrono::duration_cast<std::chrono::nanoseconds>(
                                         std::chrono::steady_clock::now() - t0_)
                                         .count());
-    record_kernel(k_, bytes_, us);
+    record_kernel(k_, bytes_, ns);
   }
   KernelTimer(const KernelTimer&) = delete;
   KernelTimer& operator=(const KernelTimer&) = delete;
@@ -90,15 +92,16 @@ struct KernelStat {
   bool encode = true;     ///< encode-path kernel
   u64 calls = 0;          ///< histogram count
   u64 bytes = 0;          ///< kernel.<name>.bytes
-  u64 us = 0;             ///< histogram sum (total kernel microseconds)
-  double mbps = 0;        ///< bytes / us, 0 when unmeasured
+  u64 us = 0;             ///< histogram sum (per-call floored microseconds)
+  u64 ns = 0;             ///< kernel.<name>.ns (total kernel nanoseconds)
+  double mbps = 0;        ///< bytes / ns in MB/s, 0 when unmeasured
 };
 
 /// Snapshot all eight kernels from the global registry (zero rows included —
 /// callers filter on calls/bytes as needed). Pipeline order, encode first.
 std::vector<KernelStat> kernel_stats();
 
-/// Pre-rendered RunReport section: {"encode":[{name,calls,bytes,us,MBps}...],
+/// Pre-rendered RunReport section: {"encode":[{name,calls,bytes,us,ns,MBps}...],
 /// "decode":[...]} with zero-call kernels omitted.
 std::string kernel_report_json();
 
