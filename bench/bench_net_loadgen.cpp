@@ -318,6 +318,9 @@ int run_cluster_main(const LoadCfg& cfg) {
     map = cluster::ShardMap::load_file(cfg.shard_map);
   } else {
     const unsigned n = std::max(cfg.nodes, 2u);
+    // "n<i>", built with append: GCC 12 reports `"n" + std::to_string(i)`
+    // as an overlapping memcpy (-Wrestrict, GCC bug 105651).
+    const auto node_id = [](std::size_t i) { return std::string("n").append(std::to_string(i)); };
     std::vector<cluster::NodeInfo> nodes;
     for (unsigned i = 0; i < n; ++i) {
       net::Server::Options sopts;
@@ -327,11 +330,11 @@ int run_cluster_main(const LoadCfg& cfg) {
         sopts.store = std::make_shared<store::ChunkStore>(so);
       }
       servers.push_back(std::make_unique<net::Server>(sopts));
-      nodes.push_back({"n" + std::to_string(i), "127.0.0.1", servers.back()->port()});
+      nodes.push_back({node_id(i), "127.0.0.1", servers.back()->port()});
     }
     map = cluster::ShardMap("loadgen", std::move(nodes));
     for (std::size_t i = 0; i < servers.size(); ++i)
-      servers[i]->set_cluster(map, "n" + std::to_string(i));
+      servers[i]->set_cluster(map, node_id(i));
     for (auto& s : servers)
       server_threads.emplace_back([srv = s.get()] { srv->run(); });
   }

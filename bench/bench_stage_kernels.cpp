@@ -15,6 +15,9 @@
 //                        per pipeline kernel ("Kernel/<name>@<eps>/..."), so
 //                        per-kernel MB/s rides BENCH_baseline.json and the
 //                        perf-smoke gate alongside the end-to-end figures.
+//                        A "Kernel/crc32@0" row times the CRC-32 that
+//                        guards every stored and wired payload (PFPA, PFPN,
+//                        PFPS, PFPV, PFSM) on the same input bytes.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -23,9 +26,11 @@
 #include <vector>
 
 #include "bits/bitshuffle.hpp"
+#include "bits/crc32.hpp"
 #include "bits/simd.hpp"
 #include "bits/delta.hpp"
 #include "bits/zerobyte.hpp"
+#include "common/timer.hpp"
 #include "core/pfpl.hpp"
 #include "core/pipeline.hpp"
 #include "core/quantizers.hpp"
@@ -188,9 +193,14 @@ int kernel_sweep_main(int argc, char** argv) {
   auto v = smooth_input(n);
   Field field(v.data(), v.size());
 
-  // samples[kernel] = one MB/s sample per rep.
+  // samples[kernel] = one MB/s sample per rep; crc_samples likewise.
   std::vector<std::vector<double>> samples(obs::kKernelCount);
+  std::vector<double> crc_samples;
   for (int rep = 0; rep < runs; ++rep) {
+    Timer t;
+    benchmark::DoNotOptimize(bits::crc32(v.data(), field.byte_size()));
+    crc_samples.push_back(static_cast<double>(field.byte_size()) / 1e6 / t.seconds());
+
     obs::MetricsRegistry::global().reset();
     Bytes c = pfpl::compress(field, {eps, EbType::ABS, pfpl::Executor::Serial});
     auto raw = pfpl::decompress(c);
@@ -221,6 +231,21 @@ int kernel_sweep_main(int argc, char** argv) {
       row.has_comp = false;
     }
     rows.push_back(row);
+  }
+  {
+    std::vector<double> s = crc_samples;
+    std::sort(s.begin(), s.end());
+    bench::Row row;
+    row.compressor = "crc32";
+    row.eb = 0;
+    row.has_ratio = row.has_psnr = row.has_violations = row.has_decomp = false;
+    row.comp_mbps = s[s.size() / 2];
+    row.comp_run_mbps = crc_samples;
+    rows.push_back(row);
+    std::fprintf(stderr, "crc32 tier: %s (%s), %.1f MiB per rep, median %.0f MB/s\n",
+                 bits::tier_name(bits::simd_tier()),
+                 bits::simd_tier() == bits::Tier::Avx512 ? "pclmulqdq fold" : "table",
+                 field.byte_size() / double(1 << 20), row.comp_mbps);
   }
   bench::print_rows("Kernel", rows);
   std::fprintf(stderr, "%s", obs::kernel_table_text().c_str());

@@ -62,8 +62,8 @@ struct Row {
   /// Per-run row-level throughput samples (same nested-geomean aggregation
   /// as the median columns, computed per run index). Only populated while
   /// observability is on — they feed the baseline's median/MAD summaries.
-  std::vector<double> comp_run_mbps;
-  std::vector<double> decomp_run_mbps;
+  std::vector<double> comp_run_mbps = {};
+  std::vector<double> decomp_run_mbps = {};
 };
 
 /// Run the full sweep: every registered compressor that supports the

@@ -8,6 +8,7 @@
 // explicitly deviates from (PFPL inlines outliers to stay parallel).
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <span>
@@ -66,14 +67,13 @@ struct SzPayload {
 
 inline Bytes sz_pack(const SzPayload& p) {
   Bytes body = lossless::lz_encode(lossless::huffman_encode(p.codes));
-  Bytes out;
-  u64 body_size = body.size(), outlier_size = p.outlier_bytes.size();
-  out.insert(out.end(), reinterpret_cast<u8*>(&body_size),
-             reinterpret_cast<u8*>(&body_size) + 8);
-  out.insert(out.end(), reinterpret_cast<u8*>(&outlier_size),
-             reinterpret_cast<u8*>(&outlier_size) + 8);
-  out.insert(out.end(), body.begin(), body.end());
-  out.insert(out.end(), p.outlier_bytes.begin(), p.outlier_bytes.end());
+  const u64 body_size = body.size(), outlier_size = p.outlier_bytes.size();
+  Bytes out(16 + body_size + outlier_size);
+  std::memcpy(out.data(), &body_size, 8);
+  std::memcpy(out.data() + 8, &outlier_size, 8);
+  std::copy(body.begin(), body.end(), out.begin() + 16);
+  std::copy(p.outlier_bytes.begin(), p.outlier_bytes.end(),
+            out.begin() + 16 + static_cast<std::ptrdiff_t>(body_size));
   return out;
 }
 
@@ -92,8 +92,7 @@ inline SzPayload sz_unpack(const u8* data, std::size_t size, std::size_t* consum
 
 template <typename T>
 void append_scalar(std::vector<u8>& out, T v) {
-  const u8* p = reinterpret_cast<const u8*>(&v);
-  out.insert(out.end(), p, p + sizeof(T));
+  append_bytes(out, &v, sizeof(T));
 }
 
 template <typename T>

@@ -11,7 +11,7 @@ Tier detect() {
       __builtin_cpu_supports("avx512dq") && __builtin_cpu_supports("avx512vl") &&
       __builtin_cpu_supports("avx512vbmi") && __builtin_cpu_supports("avx512vbmi2") &&
       __builtin_cpu_supports("bmi") && __builtin_cpu_supports("bmi2") &&
-      __builtin_cpu_supports("popcnt"))
+      __builtin_cpu_supports("popcnt") && __builtin_cpu_supports("pclmul"))
     return Tier::Avx512;
 #endif
   return Tier::Scalar;

@@ -1,7 +1,8 @@
 // Kernel tiers: which instruction set runs the chunk kernels.
 //
 // Every chunk kernel (zero-byte elimination, bit transpose, the f32 ABS/NOA
-// quantizer) has a portable scalar tier and an AVX-512 tier. The tier is
+// quantizer) and the CRC-32 (bits/crc32.hpp) has a portable scalar tier and
+// an AVX-512 tier. The tier is
 // picked once per process from cpuid — there is no flag, option or
 // environment variable — and both tiers produce identical bytes, so the
 // choice is invisible in every stream (tests/test_kernel_tiers.cpp checks
@@ -19,7 +20,8 @@ namespace repro::bits {
 enum class Tier { Scalar, Avx512 };
 
 /// The tier the dispatching kernels use: Avx512 when the CPU and OS support
-/// AVX-512 F/BW/DQ/VL/VBMI/VBMI2 (plus BMI2 and POPCNT), else Scalar.
+/// AVX-512 F/BW/DQ/VL/VBMI/VBMI2 (plus BMI2, POPCNT and PCLMULQDQ), else
+/// Scalar.
 Tier simd_tier();
 
 /// "scalar" or "avx512".
@@ -31,5 +33,5 @@ const char* tier_name(Tier t);
 /// Attribute for functions that run on the AVX-512 tier.
 #define PFPL_TARGET_AVX512                                                            \
   __attribute__((target("avx512f,avx512bw,avx512dq,avx512vl,avx512vbmi,avx512vbmi2," \
-                        "bmi,bmi2,popcnt")))
+                        "bmi,bmi2,popcnt,pclmul")))
 #endif

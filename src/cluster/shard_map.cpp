@@ -5,7 +5,7 @@
 #include <fstream>
 #include <set>
 
-#include "common/checksum.hpp"
+#include "bits/crc32.hpp"
 #include "obs/json.hpp"
 
 namespace repro::cluster {
@@ -158,7 +158,7 @@ Bytes ShardMap::serialize() const {
     put_str(out, n.host);
     put_le<u16>(out, n.port);
   }
-  put_le<u32>(out, common::crc32(out.data(), out.size()));
+  put_le<u32>(out, bits::crc32(out.data(), out.size()));
   return out;
 }
 
@@ -186,7 +186,7 @@ ShardMap ShardMap::parse(const void* data, std::size_t n) {
   }
   const std::size_t body = r.pos;
   const u32 stored = r.get<u32>();
-  const u32 actual = common::crc32(r.p, body);
+  const u32 actual = bits::crc32(r.p, body);
   if (stored != actual) throw CompressionError("PFSM: CRC mismatch");
   if (r.pos != n) throw CompressionError("PFSM: trailing bytes after map");
   return ShardMap(std::move(cluster_id), std::move(nodes), vnodes, replicas, epoch);

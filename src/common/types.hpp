@@ -10,6 +10,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -51,6 +52,17 @@ inline std::size_t dtype_size(DType t) { return t == DType::F32 ? 4 : 8; }
 
 /// Owning compressed-byte buffer.
 using Bytes = std::vector<u8>;
+
+/// Append the n bytes at p to out. Serializers use this rather than
+/// out.insert(out.end(), p, p + n) for a scalar's bytes: GCC 12 reports the
+/// inlined insert into an empty vector as a buffer overflow
+/// (-Wstringop-overflow / -Warray-bounds), though it is none.
+inline void append_bytes(Bytes& out, const void* p, std::size_t n) {
+  if (n == 0) return;
+  const std::size_t old = out.size();
+  out.resize(old + n);
+  std::memcpy(out.data() + old, p, n);
+}
 
 /// Non-owning view of a scalar field with up to 3 dimensions.
 ///

@@ -33,7 +33,7 @@ class StreamEncoder {
     double eps = 1e-3;
     EbType eb = EbType::ABS;
     /// Required for NOA: the (max - min) of the full dataset.
-    std::optional<double> noa_range;
+    std::optional<double> noa_range = std::nullopt;
   };
 
   StreamEncoder(DType dtype, const Options& opts);

@@ -231,10 +231,8 @@ std::vector<u8> Pipeline::encode(std::vector<u8> data) const {
   std::vector<u8> out;
   out.reserve(4 + sizes.size() * 4 + data.size());
   u32 cnt = static_cast<u32>(sizes.size());
-  const u8* p = reinterpret_cast<const u8*>(&cnt);
-  out.insert(out.end(), p, p + 4);
-  p = reinterpret_cast<const u8*>(sizes.data());
-  out.insert(out.end(), p, p + sizes.size() * 4);
+  append_bytes(out, &cnt, 4);
+  append_bytes(out, sizes.data(), sizes.size() * 4);
   out.insert(out.end(), data.begin(), data.end());
   return out;
 }

@@ -106,13 +106,12 @@ Bytes huffman_encode(std::span<const u16> syms) {
   Bytes out;
   u64 count = syms.size();
   u32 alphabet = static_cast<u32>(freq.size());
-  out.insert(out.end(), reinterpret_cast<u8*>(&count), reinterpret_cast<u8*>(&count) + 8);
-  out.insert(out.end(), reinterpret_cast<u8*>(&alphabet),
-             reinterpret_cast<u8*>(&alphabet) + 4);
+  append_bytes(out, &count, 8);
+  append_bytes(out, &alphabet, 4);
   // Table: (symbol u16, len u8) for present symbols.
   u32 present = 0;
   for (u8 l : len) present += l > 0;
-  out.insert(out.end(), reinterpret_cast<u8*>(&present), reinterpret_cast<u8*>(&present) + 4);
+  append_bytes(out, &present, 4);
   for (u32 s = 0; s < alphabet; ++s)
     if (len[s]) {
       u16 s16 = static_cast<u16>(s);

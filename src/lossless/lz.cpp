@@ -39,7 +39,7 @@ std::size_t get_varlen(const u8* data, std::size_t size, std::size_t& pos) {
 Bytes lz_encode(std::span<const u8> in) {
   Bytes out;
   u64 n = in.size();
-  out.insert(out.end(), reinterpret_cast<u8*>(&n), reinterpret_cast<u8*>(&n) + 8);
+  append_bytes(out, &n, 8);
   if (n == 0) return out;
 
   std::vector<u32> head(std::size_t{1} << kHashBits, 0xFFFFFFFFu);

@@ -7,7 +7,7 @@
 
 #include <thread>
 
-#include "common/checksum.hpp"
+#include "bits/crc32.hpp"
 #include "common/hash.hpp"
 #include "net/backoff.hpp"
 #include "obs/metrics.hpp"
@@ -93,7 +93,7 @@ Frame Client::roundtrip_once(const FrameHeader& h, const void* payload, std::siz
     if (rh.payload_len)
       recv_all(sock_.fd(), out.payload.data(), out.payload.size(),
                opts_.request_timeout_ms);
-    if (common::crc32(out.payload.data(), out.payload.size()) != rh.payload_crc)
+    if (bits::crc32(out.payload.data(), out.payload.size()) != rh.payload_crc)
       throw NetError("PFPN: response payload CRC mismatch");
     if (rh.status != static_cast<u16>(Status::Ok)) {
       const std::string text(out.payload.begin(), out.payload.end());

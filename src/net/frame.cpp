@@ -2,7 +2,7 @@
 
 #include <cstring>
 
-#include "common/checksum.hpp"
+#include "bits/crc32.hpp"
 
 namespace repro::net {
 namespace {
@@ -94,7 +94,7 @@ std::string status_name(u16 st) {
 
 Bytes encode_frame(FrameHeader h, const void* payload, std::size_t n) {
   h.payload_len = n;
-  h.payload_crc = common::crc32(payload, n);
+  h.payload_crc = bits::crc32(payload, n);
   Bytes out(kFrameHeaderSize + n);
   encode_header(out.data(), h);
   if (n) std::memcpy(out.data() + kFrameHeaderSize, payload, n);
@@ -172,7 +172,7 @@ FrameParser::Result FrameParser::next(Frame& out) {
   }
   if (buf_.size() - pos_ < h_.payload_len) return Result::NeedMore;
   const u8* payload = buf_.data() + pos_;
-  const u32 crc = common::crc32(payload, static_cast<std::size_t>(h_.payload_len));
+  const u32 crc = bits::crc32(payload, static_cast<std::size_t>(h_.payload_len));
   pos_ += static_cast<std::size_t>(h_.payload_len);
   have_header_ = false;
   if (crc != h_.payload_crc) {

@@ -12,7 +12,7 @@
 // the request's op with the response bit (0x80) set and the same request_id.
 // status == 0 means success; a nonzero status makes the frame a *typed error
 // frame* whose payload is a human-readable message. The payload is covered
-// by CRC-32 (common/checksum.hpp — the same checksum the PFPA archive uses),
+// by CRC-32 (bits/crc32.hpp — the same checksum the PFPA archive uses),
 // so a flipped bit in transit is detected before any payload byte is
 // interpreted. Full layout spec in docs/FORMAT.md §PFPN.
 //

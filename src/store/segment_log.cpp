@@ -11,7 +11,7 @@
 #include <cstring>
 #include <filesystem>
 
-#include "common/checksum.hpp"
+#include "bits/crc32.hpp"
 #include "io/raw_file.hpp"
 #include "obs/metrics.hpp"
 
@@ -103,7 +103,7 @@ void encode_frame_header(u8* p, const common::Hash128& key, const ChunkMeta& met
   put_le64(p + 32, eps_bits);
   put_le64(p + 40, meta.raw_size);
   put_le64(p + 48, payload_len);
-  put_le32(p + 4, common::crc32(p + 8, kChunkFrameHeaderSize - 8));
+  put_le32(p + 4, bits::crc32(p + 8, kChunkFrameHeaderSize - 8));
 }
 
 struct DecodedFrame {
@@ -118,7 +118,7 @@ struct DecodedFrame {
 /// torn tail or corruption depending on context.
 bool decode_frame_header(const u8* p, DecodedFrame& out) {
   if (get_le32(p + 0) != kFrameMagic) return false;
-  if (get_le32(p + 4) != common::crc32(p + 8, kChunkFrameHeaderSize - 8)) return false;
+  if (get_le32(p + 4) != bits::crc32(p + 8, kChunkFrameHeaderSize - 8)) return false;
   out.key.hi = get_le64(p + 8);
   out.key.lo = get_le64(p + 16);
   if (p[24] > 1 || p[25] > 2) return false;
@@ -194,7 +194,7 @@ SegmentStore::SegmentStore(const Options& opts) : opts_(opts) {
     if (have && mf.size() >= 24 + 4 && get_le32(mf.data()) == kManifestMagic &&
         get_le16(mf.data() + 4) == kStoreVersion) {
       const u32 crc = get_le32(mf.data() + mf.size() - 4);
-      if (crc == common::crc32(mf.data(), mf.size() - 4)) {
+      if (crc == bits::crc32(mf.data(), mf.size() - 4)) {
         generation_ = get_le64(mf.data() + 8);
         ok = true;
       }
@@ -302,7 +302,7 @@ void SegmentStore::scan_segment_locked(Segment& seg, bool active) {
               decode_frame_header(data.data() + off, f);
     if (ok) {
       ok = f.payload_len <= data.size() - off - kChunkFrameHeaderSize &&
-           common::crc32(data.data() + off + kChunkFrameHeaderSize, f.payload_len) ==
+           bits::crc32(data.data() + off + kChunkFrameHeaderSize, f.payload_len) ==
                f.payload_crc;
     }
     if (!ok) {
@@ -373,7 +373,7 @@ void SegmentStore::write_manifest_locked() {
     put_le64(buf.data() + off + 16, seg.sealed ? 1 : 0);
     off += 24;
   }
-  put_le32(buf.data() + off, common::crc32(buf.data(), off));
+  put_le32(buf.data() + off, bits::crc32(buf.data(), off));
 
   // tmp + fsync + rename + fsync(dir): a crash leaves either the previous
   // generation or this one, never a torn manifest.
@@ -422,7 +422,7 @@ bool SegmentStore::get(const common::Hash128& key, Bytes& out, ChunkMeta* meta) 
   DecodedFrame f;
   if (!decode_frame_header(frame.data(), f) || f.key != key ||
       f.payload_len != e.payload_len ||
-      common::crc32(frame.data() + kChunkFrameHeaderSize, f.payload_len) !=
+      bits::crc32(frame.data() + kChunkFrameHeaderSize, f.payload_len) !=
           f.payload_crc)
     throw CompressionError("store: frame for " + key.hex() +
                            " failed CRC verification (corrupt segment)");
@@ -438,7 +438,7 @@ void SegmentStore::append_frame_locked(const common::Hash128& key, const Bytes& 
                                        bool torn_kill) {
   Bytes frame(kChunkFrameHeaderSize + payload.size());
   encode_frame_header(frame.data(), key, meta,
-                      common::crc32(payload.data(), payload.size()), payload.size());
+                      bits::crc32(payload.data(), payload.size()), payload.size());
   std::memcpy(frame.data() + kChunkFrameHeaderSize, payload.data(), payload.size());
 
   ++appends_this_process_;
@@ -589,7 +589,7 @@ SegmentStore::VerifyReport SegmentStore::verify() const {
       bool ok = data.size() - off >= kChunkFrameHeaderSize &&
                 decode_frame_header(data.data() + off, f) &&
                 f.payload_len <= data.size() - off - kChunkFrameHeaderSize &&
-                common::crc32(data.data() + off + kChunkFrameHeaderSize,
+                bits::crc32(data.data() + off + kChunkFrameHeaderSize,
                               f.payload_len) == f.payload_crc;
       if (!ok) {
         // Frames are variable-length: nothing after an invalid frame can be
@@ -663,7 +663,7 @@ SegmentStore::CompactReport SegmentStore::compact() {
                                         e.offset + kChunkFrameHeaderSize, e.payload_len);
     Bytes frame(kChunkFrameHeaderSize + payload.size());
     encode_frame_header(frame.data(), key, e.meta,
-                        common::crc32(payload.data(), payload.size()), payload.size());
+                        bits::crc32(payload.data(), payload.size()), payload.size());
     std::memcpy(frame.data() + kChunkFrameHeaderSize, payload.data(), payload.size());
     if (cur.valid_bytes + frame.size() > opts_.max_segment_bytes &&
         cur.valid_bytes > kSegmentHeaderSize) {

@@ -3,8 +3,8 @@
 #include <cerrno>
 #include <cstring>
 
+#include "bits/crc32.hpp"
 #include "io/raw_file.hpp"
-#include "common/checksum.hpp"
 
 namespace repro::svc {
 namespace {
@@ -152,7 +152,7 @@ void ArchiveWriter::add(const std::string& name, const pfpl::Header& header,
   e.size = stream.size();
   e.value_count = header.value_count;
   e.raw_size = raw_size;
-  e.crc32 = common::crc32(stream.data(), stream.size());
+  e.crc32 = bits::crc32(stream.data(), stream.size());
   write_raw(stream.data(), stream.size());
   entries_.push_back(std::move(e));
 }
@@ -167,7 +167,7 @@ void ArchiveWriter::finish() {
   put<u64>(footer, index_offset);
   put<u64>(footer, static_cast<u64>(index.size()));
   put<u32>(footer, static_cast<u32>(entries_.size()));
-  put<u32>(footer, common::crc32(index.data(), index.size()));
+  put<u32>(footer, bits::crc32(index.data(), index.size()));
   put<u32>(footer, kArchiveMagic);
   write_raw(footer.data(), footer.size());
   errno = 0;
@@ -209,7 +209,7 @@ ArchiveReader::ArchiveReader(const std::string& path) : path_(path) {
     throw CompressionError("PFPA: " + path + ": corrupted index (bad extent)");
 
   Bytes index = io::read_file_range(path, index_offset, static_cast<std::size_t>(index_size));
-  if (common::crc32(index.data(), index.size()) != index_crc)
+  if (bits::crc32(index.data(), index.size()) != index_crc)
     throw CompressionError("PFPA: " + path + ": corrupted index (checksum mismatch)");
   entries_ = parse_index(index, entry_count, index_offset);
 }
@@ -222,7 +222,7 @@ const ArchiveEntry& ArchiveReader::find(const std::string& name) const {
 
 Bytes ArchiveReader::read_entry(const ArchiveEntry& e) const {
   Bytes stream = io::read_file_range(path_, e.offset, static_cast<std::size_t>(e.size));
-  if (common::crc32(stream.data(), stream.size()) != e.crc32)
+  if (bits::crc32(stream.data(), stream.size()) != e.crc32)
     throw CompressionError("PFPA: " + path_ + ": entry '" + e.name +
                            "' failed checksum (corrupted payload)");
   return stream;

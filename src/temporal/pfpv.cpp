@@ -3,7 +3,7 @@
 #include <bit>
 #include <cstring>
 
-#include "common/checksum.hpp"
+#include "bits/crc32.hpp"
 
 namespace repro::temporal {
 namespace {
@@ -35,8 +35,8 @@ double get_f64(const u8* p) {
 
 /// CRC of a bitmap and a payload as one logical body, without concatenating.
 u32 body_crc(const Bytes& bitmap, const Bytes& payload) {
-  const u32 crc = common::crc32(bitmap.data(), bitmap.size());
-  return common::crc32(payload.data(), payload.size(), crc);
+  const u32 crc = bits::crc32(bitmap.data(), bitmap.size());
+  return bits::crc32(payload.data(), payload.size(), crc);
 }
 
 }  // namespace
@@ -58,7 +58,7 @@ Bytes encode_stream_header(const SessionConfig& cfg) {
   put_le<u32>(p + 24, cfg.dims[2]);
   put_le<u32>(p + 28, cfg.keyframe_interval);
   put_le<u32>(p + 32, 0);
-  put_le<u32>(p + 36, common::crc32(p, 36));
+  put_le<u32>(p + 36, bits::crc32(p, 36));
   return out;
 }
 
@@ -68,7 +68,7 @@ SessionConfig decode_stream_header(const u8* p, std::size_t n) {
   const u16 version = get_le<u16>(p + 4);
   if (version != kPfpvVersion)
     throw CompressionError("PFPV: unsupported version " + std::to_string(version));
-  if (get_le<u32>(p + 36) != common::crc32(p, 36))
+  if (get_le<u32>(p + 36) != bits::crc32(p, 36))
     throw CompressionError("PFPV: session header CRC mismatch");
   SessionConfig cfg;
   if (p[6] > 1) throw CompressionError("PFPV: bad dtype");
@@ -98,17 +98,20 @@ Bytes encode_frame_record(const EncodedFrame& f) {
   put_le<u32>(p + 28, static_cast<u32>(f.chunk_modes.size()));
   put_le<u32>(p + 32, static_cast<u32>(f.payload.size()));
   put_le<u32>(p + 36, body_crc(f.chunk_modes, f.payload));
-  put_le<u32>(p + 4, common::crc32(p + 8, kPfpvRecordHeaderSize - 8));
-  std::memcpy(p + kPfpvRecordHeaderSize, f.chunk_modes.data(), f.chunk_modes.size());
-  std::memcpy(p + kPfpvRecordHeaderSize + f.chunk_modes.size(), f.payload.data(),
-              f.payload.size());
+  put_le<u32>(p + 4, bits::crc32(p + 8, kPfpvRecordHeaderSize - 8));
+  // Either part may be empty, and memcpy must not see an empty vector's null data().
+  if (!f.chunk_modes.empty())
+    std::memcpy(p + kPfpvRecordHeaderSize, f.chunk_modes.data(), f.chunk_modes.size());
+  if (!f.payload.empty())
+    std::memcpy(p + kPfpvRecordHeaderSize + f.chunk_modes.size(), f.payload.data(),
+                f.payload.size());
   return out;
 }
 
 std::size_t decode_frame_record(const u8* p, std::size_t n, EncodedFrame& out) {
   if (n < kPfpvRecordHeaderSize) return 0;
   if (get_le<u32>(p) != kPfpvRecordMagic) return 0;
-  if (get_le<u32>(p + 4) != common::crc32(p + 8, kPfpvRecordHeaderSize - 8)) return 0;
+  if (get_le<u32>(p + 4) != bits::crc32(p + 8, kPfpvRecordHeaderSize - 8)) return 0;
   if (p[16] > 1) return 0;
   const std::size_t bitmap_len = get_le<u32>(p + 28);
   const std::size_t payload_len = get_le<u32>(p + 32);
@@ -187,7 +190,7 @@ void StreamWriter::finish() {
   Bytes footer(kPfpvFooterSize);
   put_le<u64>(footer.data(), index_offset);
   put_le<u64>(footer.data() + 8, frames_);
-  put_le<u32>(footer.data() + 16, common::crc32(index.data(), index.size()));
+  put_le<u32>(footer.data() + 16, bits::crc32(index.data(), index.size()));
   put_le<u32>(footer.data() + 20, kPfpvIndexMagic);
   write_bytes(index.data(), index.size());
   write_bytes(footer.data(), footer.size());
@@ -230,7 +233,7 @@ void StreamReader::open(Bytes bytes) {
         const u32 entries = get_le<u32>(idx + 4);
         if (get_le<u32>(idx) == kPfpvIndexMagic &&
             index_size == 8 + static_cast<std::size_t>(entries) * 16 &&
-            get_le<u32>(foot + 16) == common::crc32(idx, index_size)) {
+            get_le<u32>(foot + 16) == bits::crc32(idx, index_size)) {
           trailer_ok = true;
           trailer_frames = get_le<u64>(foot + 8);
           records_end = static_cast<std::size_t>(index_offset);

@@ -402,11 +402,12 @@ TEST(Registry, EverySupportedComboRoundtrips) {
         Bytes s = c->compress(Field(vf.data(), {8, 16, 16}), 1e-3, eb);
         auto back = c->decompress_as<float>(s);
         ASSERT_EQ(back.size(), vf.size()) << c->name();
-        if (f.guarantees(eb))
+        if (f.guarantees(eb)) {
           EXPECT_EQ(metrics::count_violations(std::span<const float>(vf),
                                               std::span<const float>(back), 1e-3, eb),
                     0u)
               << c->name() << " " << to_string(eb);
+        }
       }
       if (f.f64) {
         Bytes s = c->compress(Field(vd.data(), {8, 16, 16}), 1e-3, eb);

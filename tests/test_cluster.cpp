@@ -29,10 +29,14 @@ using namespace repro;
 
 namespace {
 
+/// "n<i>". Built with append: GCC 12 reports `"n" + std::to_string(i)` as
+/// an overlapping memcpy (-Wrestrict, GCC bug 105651).
+std::string node_id(unsigned i) { return std::string("n").append(std::to_string(i)); }
+
 std::vector<cluster::NodeInfo> make_nodes(unsigned n, u16 base_port = 19000) {
   std::vector<cluster::NodeInfo> nodes;
   for (unsigned i = 0; i < n; ++i)
-    nodes.push_back({"n" + std::to_string(i), "127.0.0.1",
+    nodes.push_back({node_id(i), "127.0.0.1",
                      static_cast<u16>(base_port + i)});
   return nodes;
 }
@@ -52,13 +56,13 @@ struct TestCluster {
     std::vector<cluster::NodeInfo> nodes;
     for (unsigned i = 0; i < n; ++i) {
       servers.push_back(std::make_unique<net::Server>(net::Server::Options{}));
-      nodes.push_back({"n" + std::to_string(i), "127.0.0.1",
+      nodes.push_back({node_id(i), "127.0.0.1",
                        servers.back()->port()});
     }
     map = cluster::ShardMap("test", std::move(nodes),
                             cluster::ShardMap::kDefaultVnodes, replicas);
     for (unsigned i = 0; i < n; ++i) {
-      servers[i]->set_cluster(map, "n" + std::to_string(i));
+      servers[i]->set_cluster(map, node_id(i));
       threads.emplace_back([srv = servers[i].get()] { srv->run(); });
     }
   }
@@ -336,13 +340,13 @@ TEST(ClusterClient, StaleMapRecoversViaWrongShardAndRefresh) {
   std::vector<cluster::NodeInfo> nodes;
   for (unsigned i = 0; i < 2; ++i) {
     servers.push_back(std::make_unique<net::Server>(net::Server::Options{}));
-    nodes.push_back({"n" + std::to_string(i), "127.0.0.1", servers.back()->port()});
+    nodes.push_back({node_id(i), "127.0.0.1", servers.back()->port()});
   }
   const cluster::ShardMap truth("test", nodes, 128, /*replicas=*/1, /*epoch=*/2);
   const cluster::ShardMap stale("test", {nodes[0]}, 128, 1, /*epoch=*/1);
   std::vector<std::thread> threads;
   for (unsigned i = 0; i < 2; ++i) {
-    servers[i]->set_cluster(truth, "n" + std::to_string(i));
+    servers[i]->set_cluster(truth, node_id(i));
     threads.emplace_back([srv = servers[i].get()] { srv->run(); });
   }
 

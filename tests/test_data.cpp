@@ -125,10 +125,12 @@ TEST(Suites, Is3dFlagsMatchKinds) {
   for (const auto& spec : paper_suites()) {
     auto s = generate(spec, 1 << 12, 1);
     bool is3d = s.files[0].field().is_3d();
-    if (spec.kind == "hacc" || spec.kind == "nwchem" || spec.kind == "brown")
+    if (spec.kind == "hacc" || spec.kind == "nwchem" || spec.kind == "brown") {
       EXPECT_FALSE(is3d) << spec.name;
-    if (spec.kind == "cesm" || spec.kind == "nyx" || spec.kind == "miranda")
+    }
+    if (spec.kind == "cesm" || spec.kind == "nyx" || spec.kind == "miranda") {
       EXPECT_TRUE(is3d) << spec.name;
+    }
   }
 }
 

@@ -27,6 +27,13 @@ namespace {
 
 constexpr double kEps = 1e-3;
 
+/// prefix followed by i. Built with append: GCC 12 reports
+/// `"lit" + std::to_string(i)` as an overlapping memcpy (-Wrestrict, GCC
+/// bug 105651).
+std::string numbered(const char* prefix, std::size_t i) {
+  return std::string(prefix).append(std::to_string(i));
+}
+
 /// Fresh per-test scratch directory under the system temp dir.
 class ScratchDir {
  public:
@@ -69,7 +76,7 @@ ingest::IngestPipeline::Options base_options() {
 std::vector<ingest::Item> memory_items(std::size_t count, std::size_t values) {
   std::vector<ingest::Item> items;
   for (std::size_t i = 0; i < count; ++i)
-    items.push_back(ingest::Item{"item" + std::to_string(i), "",
+    items.push_back(ingest::Item{numbered("item", i), "",
                                  as_bytes(make_field_values(values, unsigned(i)))});
   return items;
 }
@@ -94,7 +101,7 @@ TEST(IngestPipeline, StreamsByteIdenticalToSerialCompress) {
   for (std::size_t i = 0; i < rs.size(); ++i) {
     EXPECT_FALSE(rs[i].failed) << rs[i].error;
     EXPECT_FALSE(rs[i].cancelled);
-    EXPECT_EQ(rs[i].name, "item" + std::to_string(i));
+    EXPECT_EQ(rs[i].name, numbered("item", i));
     EXPECT_EQ(rs[i].raw_bytes, kValues * sizeof(float));
     EXPECT_EQ(rs[i].stream, serial_stream(kValues, unsigned(i)));
     EXPECT_EQ(rs[i].header.value_count, kValues);
@@ -140,7 +147,7 @@ TEST(IngestPipeline, ByteIdenticalToOneShotForEveryWorkerCount) {
         ingest::IngestPipeline pipe(o);
         std::vector<ingest::Item> items;
         for (std::size_t i = 0; i < raws.size(); ++i)
-          items.push_back(ingest::Item{"f" + std::to_string(i), "", raws[i]});
+          items.push_back(ingest::Item{numbered("f", i), "", raws[i]});
         const std::vector<ingest::Result> rs = pipe.run(std::move(items));
         ASSERT_EQ(rs.size(), raws.size());
         for (std::size_t i = 0; i < rs.size(); ++i) {
@@ -196,12 +203,12 @@ TEST(IngestPipeline, FileItemsMatchMemoryItems) {
   std::vector<ingest::Item> items;
   for (unsigned i = 0; i < 3; ++i) {
     const Bytes raw = as_bytes(make_field_values(kValues, i));
-    const fs::path p = dir.path() / ("f" + std::to_string(i) + ".raw");
+    const fs::path p = dir.path() / (numbered("f", i) + ".raw");
     std::FILE* out = std::fopen(p.string().c_str(), "wb");
     ASSERT_NE(out, nullptr);
     ASSERT_EQ(std::fwrite(raw.data(), 1, raw.size(), out), raw.size());
     std::fclose(out);
-    items.push_back(ingest::Item{"f" + std::to_string(i), p.string(), {}});
+    items.push_back(ingest::Item{numbered("f", i), p.string(), {}});
   }
   ingest::IngestPipeline::Options o = base_options();
   o.read_buffer_bytes = 1024;  // force many buffer seams per file
@@ -394,7 +401,7 @@ TEST(IngestPipeline, FailFastCancelsUpstreamWithoutDeadlock) {
   for (std::size_t i = 1; i < rs.size(); ++i) {
     EXPECT_TRUE(rs[i].cancelled) << "item " << i;
     EXPECT_TRUE(rs[i].stream.empty());
-    EXPECT_EQ(rs[i].name, "item" + std::to_string(i));  // names survive drops
+    EXPECT_EQ(rs[i].name, numbered("item", i));  // names survive drops
   }
   EXPECT_EQ(pipe.stats().files_failed, 1u);
   EXPECT_EQ(pipe.stats().files_cancelled, 5u);

@@ -1,8 +1,8 @@
 // Differential tests: the AVX-512 kernel tier against the scalar tier.
 //
-// Both tiers must produce identical bytes for every input, and on hostile
-// input the decoders must fail the same way (same exception) or consume the
-// same number of bytes. Each test calls the two tier entry points directly;
+// Both tiers must produce identical bytes (and CRC-32 values) for every
+// input, and on hostile input the decoders must fail the same way (same
+// exception) or consume the same number of bytes. Each test calls the two tier entry points directly;
 // the AVX-512 half is skipped when the CPU lacks the tier. The GPU-sim
 // kernels stay scalar and are checked separately (test_sim_identity).
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "bits/bitshuffle.hpp"
+#include "bits/crc32.hpp"
 #include "bits/simd.hpp"
 #include "bits/zerobyte.hpp"
 #include "core/quantizers.hpp"
@@ -285,4 +286,64 @@ TEST(KernelTiers, BlockCallsUseTheScalarWordsOnEveryTier) {
 TEST(KernelTiers, TierNameIsReported) {
   const std::string name = bits::tier_name(bits::simd_tier());
   EXPECT_TRUE(name == "scalar" || name == "avx512") << name;
+}
+
+// --- CRC-32 ------------------------------------------------------------------
+
+TEST(KernelTiers, Crc32KnownAnswers) {
+  // The dispatching entry point (the clmul fold on an AVX-512 host, for
+  // inputs of 64 bytes and more) and the scalar tier against zlib's values.
+  std::vector<u8> zeros(64, 0), ramp(4096);
+  for (std::size_t i = 0; i < ramp.size(); ++i) ramp[i] = static_cast<u8>(i);
+  for (auto crc : {&bits::crc32, &bits::scalar::crc32}) {
+    EXPECT_EQ(crc("123456789", 9, 0), 0xCBF43926u);
+    EXPECT_EQ(crc(nullptr, 0, 0), 0u);
+    EXPECT_EQ(crc(zeros.data(), zeros.size(), 0), 0x758D6336u);
+    EXPECT_EQ(crc(ramp.data(), ramp.size(), 0), 0xA2912082u);
+  }
+}
+
+TEST(KernelTiers, Crc32ClmulMatchesTableEveryLengthAndAlignment) {
+  REQUIRE_AVX512();
+  data::Rng rng(80);
+  std::vector<u8> src(4096 + 16);
+  for (u8& b : src) b = static_cast<u8>(rng.next_u64());
+  for (std::size_t align = 0; align < 16; ++align) {
+    u32 ref = 0;  // scalar CRC of src[align, align + n), extended one byte per step
+    for (std::size_t n = 0; n <= 4096; ++n) {
+      if (n > 0) ref = bits::scalar::crc32(&src[align + n - 1], 1, ref);
+      // An exact-size copy, so a sanitizer sees any read past the end.
+      std::vector<u8> buf(src.begin(), src.begin() + static_cast<std::ptrdiff_t>(align + n));
+      ASSERT_EQ(bits::avx512::crc32(buf.data() + align, n, 0), ref)
+          << "n=" << n << " align=" << align;
+    }
+  }
+}
+
+TEST(KernelTiers, Crc32IncrementalSplitAtEveryOffset) {
+  data::Rng rng(81);
+  std::vector<u8> b(300);
+  for (u8& x : b) x = static_cast<u8>(rng.next_u64());
+  const u32 whole = bits::scalar::crc32(b.data(), b.size());
+  std::vector<u32 (*)(const void*, std::size_t, u32)> tiers = {&bits::crc32,
+                                                               &bits::scalar::crc32};
+  if (have_avx512()) tiers.push_back(&bits::avx512::crc32);
+  for (auto crc : tiers) {
+    ASSERT_EQ(crc(b.data(), b.size(), 0), whole);
+    for (std::size_t k = 0; k <= b.size(); ++k)
+      ASSERT_EQ(crc(b.data() + k, b.size() - k, crc(b.data(), k, 0)), whole) << "split " << k;
+  }
+}
+
+TEST(KernelTiers, Crc32LargeRandomBuffer) {
+  REQUIRE_AVX512();
+  data::Rng rng(82);
+  std::vector<u8> b(std::size_t{64} << 20);
+  for (std::size_t i = 0; i < b.size(); i += 8) {
+    const u64 r = rng.next_u64();
+    std::memcpy(&b[i], &r, 8);
+  }
+  const u32 ref = bits::scalar::crc32(b.data(), b.size());
+  EXPECT_EQ(bits::avx512::crc32(b.data(), b.size()), ref);
+  EXPECT_EQ(bits::crc32(b.data(), b.size()), ref);
 }

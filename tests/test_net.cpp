@@ -23,7 +23,7 @@
 #include <thread>
 #include <vector>
 
-#include "common/checksum.hpp"
+#include "bits/crc32.hpp"
 #include "core/pfpl.hpp"
 #include "net/backoff.hpp"
 #include "net/client.hpp"
@@ -108,17 +108,17 @@ Bytes ping_frame(u64 id) {
 TEST(NetChecksum, Crc32CheckValue) {
   // The CRC-32/IEEE check value: crc32("123456789") == 0xCBF43926.
   const char* s = "123456789";
-  EXPECT_EQ(common::crc32(s, 9), 0xCBF43926u);
+  EXPECT_EQ(bits::crc32(s, 9), 0xCBF43926u);
 }
 
 TEST(NetChecksum, SvcAliasMatchesCommon) {
   const Bytes data = {0x00, 0xFF, 0x10, 0x20, 0x99};
-  EXPECT_EQ(common::crc32(data.data(), data.size()),
-            common::crc32(data.data(), data.size()));
+  EXPECT_EQ(bits::crc32(data.data(), data.size()),
+            bits::crc32(data.data(), data.size()));
   // Seeded continuation matches one-shot.
-  u32 part = common::crc32(data.data(), 2);
-  EXPECT_EQ(common::crc32(data.data() + 2, data.size() - 2, part),
-            common::crc32(data.data(), data.size()));
+  u32 part = bits::crc32(data.data(), 2);
+  EXPECT_EQ(bits::crc32(data.data() + 2, data.size() - 2, part),
+            bits::crc32(data.data(), data.size()));
 }
 
 // ---------------------------------------------------------------------------
@@ -253,6 +253,32 @@ TEST(NetFrame, OversizedDeclaredLengthIsFatal) {
   EXPECT_TRUE(p.fatal());
   EXPECT_EQ(p.status(), net::Status::TooLarge);
   EXPECT_EQ(p.error_request_id(), 5u);
+}
+
+TEST(NetFrame, SingleBitFlipInLongPayloadIsCrcMismatch) {
+  // 1000 payload bytes: the CRC folds the first 992 64 bytes at a time and
+  // takes the last 8 byte by byte. One flipped bit in either part is caught.
+  net::FrameHeader h;
+  h.op = static_cast<u8>(net::Op::Ping);
+  h.request_id = 11;
+  Bytes payload(1000);
+  for (std::size_t i = 0; i < payload.size(); ++i) payload[i] = static_cast<u8>(i * 7 + 3);
+  const Bytes good = net::encode_frame(h, payload);
+  for (std::size_t bit : {0u, 7u, 511u, 4000u, 7935u, 7936u, 7999u}) {
+    Bytes bad = good;
+    bad[net::kFrameHeaderSize + bit / 8] ^= static_cast<u8>(1u << (bit % 8));
+    net::FrameParser p;
+    p.feed(bad.data(), bad.size());
+    net::Frame f;
+    ASSERT_EQ(p.next(f), net::FrameParser::Result::Error) << "bit " << bit;
+    EXPECT_FALSE(p.fatal());
+    EXPECT_EQ(p.status(), net::Status::CrcMismatch) << "bit " << bit;
+  }
+  net::FrameParser p;
+  p.feed(good.data(), good.size());
+  net::Frame f;
+  ASSERT_EQ(p.next(f), net::FrameParser::Result::Ready);
+  EXPECT_EQ(f.payload, payload);
 }
 
 TEST(NetFrame, CrcMismatchIsRecoverable) {

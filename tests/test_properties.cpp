@@ -112,7 +112,9 @@ TEST(Properties, CoarserBoundNeverCompressesWorse) {
   std::size_t prev = 0;
   for (double eps : {1e-5, 1e-4, 1e-3, 1e-2, 1e-1}) {
     Bytes c = pfpl::compress(Field(v.data(), v.size()), {eps, EbType::ABS});
-    if (prev) EXPECT_LE(c.size(), prev) << eps;
+    if (prev) {
+      EXPECT_LE(c.size(), prev) << eps;
+    }
     prev = c.size();
   }
 }

@@ -52,13 +52,6 @@ common::Hash128 key_of(unsigned i) {
 
 Bytes bytes_of(std::size_t n, u8 fill) { return Bytes(n, fill); }
 
-std::vector<float> make_field_values(std::size_t n, unsigned seed) {
-  std::vector<float> v(n);
-  for (std::size_t i = 0; i < n; ++i)
-    v[i] = static_cast<float>((i % 97) * 0.25 + seed);
-  return v;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------- Hash128
@@ -327,6 +320,44 @@ TEST(SegmentStore, SealedSegmentCorruptionDetected) {
   const store::SegmentStore::VerifyReport rep = log.verify();
   EXPECT_FALSE(rep.ok());
   EXPECT_GE(rep.corrupt_frames, 1u);
+}
+
+TEST(SegmentStore, SingleBitFlipInRecordPayloadFailsGet) {
+  // One flipped bit in a stored payload, inside the CRC's 64-byte fold or in
+  // its byte-wise tail, fails get() and verify(); flipping it back heals it.
+  StoreDir dir("bitflip");
+  store::SegmentStore::Options o;
+  o.dir = dir.str();
+  store::SegmentStore log(o);
+  Bytes payload(1000);
+  for (std::size_t i = 0; i < payload.size(); ++i) payload[i] = static_cast<u8>(i * 13 + 1);
+  ASSERT_TRUE(log.put(key_of(1), payload, {}));
+  Bytes out;
+  ASSERT_TRUE(log.get(key_of(1), out));  // also flushes the append to the file
+  ASSERT_EQ(out, payload);
+
+  const std::string seg = (dir.path() / "seg-00000001.pfps").string();
+  const auto flip = [&](std::size_t bit) {
+    std::FILE* f = std::fopen(seg.c_str(), "rb+");
+    ASSERT_NE(f, nullptr);
+    const long at = static_cast<long>(store::kSegmentHeaderSize +
+                                      store::kChunkFrameHeaderSize + bit / 8);
+    std::fseek(f, at, SEEK_SET);
+    u8 b = 0;
+    ASSERT_EQ(std::fread(&b, 1, 1, f), 1u);
+    b ^= static_cast<u8>(1u << (bit % 8));
+    std::fseek(f, at, SEEK_SET);
+    ASSERT_EQ(std::fwrite(&b, 1, 1, f), 1u);
+    std::fclose(f);
+  };
+  for (std::size_t bit : {0u, 4000u, 7999u}) {
+    flip(bit);
+    EXPECT_THROW(log.get(key_of(1), out), CompressionError) << "bit " << bit;
+    EXPECT_EQ(log.verify().corrupt_frames, 1u) << "bit " << bit;
+    flip(bit);
+    ASSERT_TRUE(log.get(key_of(1), out)) << "bit " << bit;
+    EXPECT_EQ(out, payload);
+  }
 }
 
 TEST(SegmentStore, ManifestRecoveredAfterDeletion) {

@@ -13,12 +13,12 @@
 #include <string>
 #include <vector>
 
+#include "bits/crc32.hpp"
 #include "core/chunked.hpp"
 #include "core/pfpl.hpp"
 #include "data/rng.hpp"
 #include "io/raw_file.hpp"
 #include "svc/archive.hpp"
-#include "common/checksum.hpp"
 #include "svc/thread_pool.hpp"
 
 using namespace repro;
@@ -273,7 +273,7 @@ TEST_F(ArchiveTest, RandomAccessReadsOnlyTheEntryRange) {
   // The reader's contract is range-reads only; emulate it directly to prove
   // the entry is self-contained: bytes [offset, offset+size) alone decode.
   Bytes stream = io::read_file_range(path, e.offset, static_cast<std::size_t>(e.size));
-  EXPECT_EQ(common::crc32(stream.data(), stream.size()), e.crc32);
+  EXPECT_EQ(bits::crc32(stream.data(), stream.size()), e.crc32);
   auto back = pfpl::decompress_as<double>(stream);
   ASSERT_EQ(back.size(), f64.size());
   pfpl::Header h = pfpl::peek_header(stream);
@@ -312,7 +312,7 @@ TEST_F(ArchiveTest, HostileEntryNamesAreRejected) {
   for (const char* evil : {"../../ab", "/abs/pth", "dir\\file"}) {
     Bytes raw = orig;
     std::memcpy(raw.data() + index_offset + 2, evil, 8);
-    u32 crc = common::crc32(raw.data() + index_offset, static_cast<std::size_t>(index_size));
+    u32 crc = bits::crc32(raw.data() + index_offset, static_cast<std::size_t>(index_size));
     std::memcpy(raw.data() + raw.size() - svc::kArchiveFooterSize + 20, &crc, 4);
     io::write_file(path, raw.data(), raw.size());
     EXPECT_THROW(svc::ArchiveReader reader(path), CompressionError) << evil;
@@ -329,6 +329,27 @@ TEST_F(ArchiveTest, CorruptedEntryPayloadIsRejected) {
   EXPECT_THROW(reader.read_entry("temp.f32"), CompressionError);
   // The other entry is untouched and still extractable (fault isolation).
   EXPECT_NO_THROW(reader.read_entry("pres.f64"));
+}
+
+TEST_F(ArchiveTest, SingleBitFlipInEntryPayloadIsRejected) {
+  // One flipped bit at the start, middle or end of an entry fails its CRC,
+  // whether it lands in the 64-byte fold or in the byte-wise tail.
+  const svc::ArchiveEntry e = svc::ArchiveReader(path).find("temp.f32");
+  ASSERT_GE(e.size, 64u);
+  const Bytes orig = io::read_file(path);
+  for (u64 bit : {u64{0}, e.size * 4 + 3, e.size * 8 - 1}) {
+    Bytes raw = orig;
+    raw[static_cast<std::size_t>(e.offset + bit / 8)] ^= static_cast<u8>(1u << (bit % 8));
+    io::write_file(path, raw.data(), raw.size());
+    svc::ArchiveReader reader(path);
+    try {
+      reader.read_entry("temp.f32");
+      ADD_FAILURE() << "bit " << bit << " flipped, entry still read";
+    } catch (const CompressionError& err) {
+      EXPECT_NE(std::string(err.what()).find("failed checksum"), std::string::npos) << err.what();
+    }
+    EXPECT_NO_THROW(reader.read_entry("pres.f64"));
+  }
 }
 
 TEST_F(ArchiveTest, TruncatedFileIsRejected) {
@@ -371,8 +392,8 @@ TEST(Archive, EmptyArchiveRoundTrips) {
 
 TEST(Checksum, Crc32KnownVector) {
   // CRC-32("123456789") = 0xCBF43926 (IEEE 802.3 check value).
-  EXPECT_EQ(common::crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(bits::crc32("123456789", 9), 0xCBF43926u);
   // Incremental == one-shot.
-  u32 a = common::crc32("12345", 5);
-  EXPECT_EQ(common::crc32("6789", 4, a), 0xCBF43926u);
+  u32 a = bits::crc32("12345", 5);
+  EXPECT_EQ(bits::crc32("6789", 4, a), 0xCBF43926u);
 }
